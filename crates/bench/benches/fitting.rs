@@ -157,8 +157,12 @@ fn bench_batch_estimate(c: &mut Criterion) {
             acc
         });
     });
-    group.bench_function("estimate_column", |b| {
-        b.iter(|| roofline.estimate_column(std::hint::black_box(column)));
+    group.bench_function("estimate_soa", |b| {
+        let mut out = Vec::new();
+        b.iter(|| {
+            roofline.estimate_soa(std::hint::black_box(column.intensities()), &mut out);
+            out.len()
+        });
     });
     group.finish();
 }

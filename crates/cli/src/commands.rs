@@ -1,5 +1,5 @@
 //! The `spire` command dispatcher. Each subcommand lives in its own
-//! module under [`crate::cmd`]; they return a [`CmdOutput`] so the logic
+//! module under `crate::cmd`; they return a [`CmdOutput`] so the logic
 //! is testable without capturing stdout, and so partial success (a
 //! degraded-but-usable result) is visible to the process exit code.
 //!

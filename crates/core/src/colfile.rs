@@ -557,7 +557,7 @@ fn decode_f64s(dst: &mut Vec<f64>, bytes: &[u8]) {
 /// `#![deny(unsafe_code)]`-clean): a private read-only mapping plus
 /// bounds- and alignment-checked slice reborrows. Opening verifies the
 /// header and directory; data chunks are verified lazily by
-/// [`MappedColFile::verify`] or chunk access, so an open is O(directory).
+/// [`MappedColFile::verify`](mmap::MappedColFile::verify) or chunk access, so an open is O(directory).
 #[cfg(unix)]
 pub mod mmap {
     #![allow(unsafe_code)]

@@ -626,48 +626,18 @@ impl SpireModel {
     /// [`SpireError::NoCommonMetrics`] if no workload sample belongs to
     /// a trained metric, and [`SpireError::DegenerateWeights`] if a
     /// metric's merge weights sum to zero or NaN (possible only for
-    /// workload data that bypassed [`Sample::new`] validation, e.g. via
-    /// deserialization).
+    /// workload data that bypassed [`Sample::new`](crate::Sample::new)
+    /// validation, e.g. via deserialization).
     pub fn estimate(&self, workload: &SampleSet) -> Result<Estimate> {
-        if workload.is_empty() {
-            return Err(SpireError::EmptyWorkload);
-        }
-        // Workload metrics the model was not trained on are skipped here;
-        // trained metrics absent from the workload simply produce no job.
-        let jobs: Vec<(&MetricColumn, &PiecewiseRoofline)> = workload
-            .by_metric()
-            .filter_map(|(metric, column)| self.rooflines.get(metric).map(|r| (column, r)))
-            .collect();
-        if jobs.is_empty() {
-            return Err(SpireError::NoCommonMetrics);
-        }
-        let merge = self.config.merge;
-        let merged = parallel::map(&jobs, self.config.threads, |(column, roofline)| {
-            merge_column(column, roofline, merge)
-        });
-        let mut per_metric = BTreeMap::new();
-        for ((column, _), result) in jobs.iter().zip(merged) {
-            per_metric.insert(column.metric().clone(), result?);
-        }
-        let throughput = match self.config.aggregation {
-            EnsembleAggregation::Min => per_metric
-                .values()
-                .map(|e| e.merged)
-                .fold(f64::INFINITY, f64::min),
-            EnsembleAggregation::Mean => {
-                per_metric.values().map(|e| e.merged).sum::<f64>() / per_metric.len() as f64
-            }
-        };
-        Ok(Estimate {
-            per_metric,
-            throughput,
-            aggregation: self.config.aggregation,
-        })
+        self.estimate_batch(&[workload])
+            .pop()
+            .expect("estimate_batch returns one result per workload")
     }
 
     /// Estimates many workloads in one coalesced pass, returning one
     /// result per workload **in input order**, each bit-identical to
-    /// calling [`estimate`](SpireModel::estimate) on that workload alone.
+    /// calling [`estimate`](SpireModel::estimate) on that workload alone
+    /// (`estimate` is this method on a batch of one).
     ///
     /// This is the serving hot path: concurrently-arriving requests for
     /// the same model are merged into larger columns. All requests'
@@ -675,16 +645,17 @@ impl SpireModel {
     /// through one [`PiecewiseRoofline::estimate_soa`] pass — hoisting the
     /// shape dispatch and boundary loads once per metric per batch rather
     /// than once per metric per request — then split back by range.
-    /// `estimate_soa` is elementwise, so the split segments match
-    /// per-request passes bit-for-bit, and the per-column merge
-    /// accumulation is literally the same loop (`merge_estimates`) the
-    /// single-workload path runs.
+    /// `estimate_soa` is bit-identical to the scalar per-sample estimate
+    /// lane by lane, so the split segments do not depend on which other
+    /// workloads share the batch, and each segment is merged (paper
+    /// Eq. 1) in its own sample order.
     ///
     /// Per-workload errors ([`SpireError::EmptyWorkload`],
     /// [`SpireError::NoCommonMetrics`], [`SpireError::DegenerateWeights`])
-    /// land in that workload's slot with the same precedence as
-    /// `estimate` (first failing metric in column order) and never affect
-    /// neighboring workloads in the batch.
+    /// land in that workload's slot and never affect neighboring
+    /// workloads in the batch. Emptiness is checked first, then common
+    /// metrics, then each metric's merge weights in column order, and the
+    /// first failure is reported.
     pub fn estimate_batch(&self, workloads: &[&SampleSet]) -> Vec<Result<Estimate>> {
         // Classify each workload up front and group its routed columns by
         // metric across the whole batch.
@@ -744,8 +715,8 @@ impl SpireModel {
             });
 
         // Scatter metric results back to their workloads, then assemble
-        // each Estimate with the same error precedence and aggregation
-        // fold as the single-workload path.
+        // each Estimate, reporting the first failing metric in column
+        // order.
         let mut per_workload: Vec<BTreeMap<&MetricId, Result<MetricEstimate>>> =
             workloads.iter().map(|_| BTreeMap::new()).collect();
         for ((metric, _, _), outs) in group_list.iter().zip(merged) {
@@ -820,25 +791,9 @@ impl SpireModel {
     }
 }
 
-/// Merges one workload column through its roofline (paper Eq. 1), reading
-/// the intensity and time columns as contiguous slices.
-fn merge_column(
-    column: &MetricColumn,
-    roofline: &PiecewiseRoofline,
-    merge: MergeStrategy,
-) -> Result<MetricEstimate> {
-    // Estimate the whole column through the batch SoA kernel (bit-identical
-    // to per-sample `estimate`, minus the per-sample shape dispatch), then
-    // accumulate in the same sample order as before.
-    let estimates = roofline.estimate_column(column);
-    merge_estimates(&estimates, column, merge)
-}
-
-/// The accumulation half of [`merge_column`]: merges pre-computed
-/// per-sample estimates for one column. Shared with the coalesced
-/// [`SpireModel::estimate_batch`] path, where the estimates arrive as a
-/// slice of a larger concatenated column — sharing the accumulation loop
-/// is what makes the two paths bit-identical by construction.
+/// Merges one workload column's pre-computed per-sample estimates (paper
+/// Eq. 1). In [`SpireModel::estimate_batch`] the estimates arrive as a
+/// slice of a larger concatenated column.
 fn merge_estimates(
     estimates: &[f64],
     column: &MetricColumn,

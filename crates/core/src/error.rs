@@ -41,10 +41,10 @@ pub enum SpireError {
     /// The per-metric merge weights summed to zero (or NaN), so the merged
     /// estimate of Eq. (1) is undefined.
     ///
-    /// Unreachable for sample sets built through [`Sample::new`]
-    /// (`crate::Sample::new`), which requires strictly positive times, but
-    /// deserialized data bypasses that validation and is surfaced here as
-    /// an error rather than a `NaN` estimate.
+    /// Unreachable for sample sets built through
+    /// [`Sample::new`](crate::Sample::new), which requires strictly
+    /// positive times, but deserialized data bypasses that validation and
+    /// is surfaced here as an error rather than a `NaN` estimate.
     DegenerateWeights {
         /// Metric whose merge weights degenerate.
         metric: String,

@@ -61,10 +61,9 @@
 //! rooflines and a regression baseline) and `spire-plot` (rendering).
 
 #![warn(missing_docs)]
-// `deny` rather than `forbid`: the crate is unsafe-free except for two
-// narrowly scoped, module-level `#[allow]` islands — the mmap view in
-// [`colfile::mmap`] and the explicit-SIMD estimate loops behind the `simd`
-// feature — both of which document their safety obligations inline.
+// `deny` rather than `forbid`: the crate is unsafe-free except for one
+// narrowly scoped, module-level `#[allow]` island — the mmap view in
+// [`colfile::mmap`] — which documents its safety obligations inline.
 #![deny(unsafe_code)]
 
 pub mod analysis;

@@ -10,7 +10,7 @@
 //! through dataset metadata, snapshot provenance, and serve responses, so
 //! a model trained on one machine can never be silently applied to
 //! another machine's counters: the mismatch surfaces as a typed
-//! `machine_mismatch` event (lenient) or a [`SpireError::MachineMismatch`]
+//! `machine_mismatch` event (lenient) or a [`SpireError::MachineMismatch`](crate::SpireError::MachineMismatch)
 //! refusal (strict).
 //!
 //! # Normalization math

@@ -16,7 +16,7 @@
 //!   (`Right`); anything that could touch the left hull or apex falls back
 //!   to a full per-metric refit (`Full`).
 //! * **Patchable prefix sums.** The right-region fitter's `x/x²/y/y²/xy`
-//!   prefix sums ([`PrefixSums`]) are truncated and re-accumulated from the
+//!   prefix sums (`PrefixSums`) are truncated and re-accumulated from the
 //!   insertion point only, replaying the same additions in the same order —
 //!   so a patched fit is bit-identical to a from-scratch one.
 //! * **Exact-or-refit classification.** Every classification that avoids a

@@ -275,7 +275,7 @@ struct InEntry {
 /// This runs in `O(k² log k)` time for a front of `k` samples — the
 /// `log k` only from sorting predecessor slopes — and `O(F)` memory, where
 /// `F ≤ k(k-1)/2` is the number of *feasible* segments. See the module
-/// docs for the algorithm and [`reference`] for the executable O(k³)
+/// docs for the algorithm and `reference` for the executable O(k³)
 /// specification it replaces.
 ///
 /// [`pareto_front`]: crate::geometry::pareto_front
@@ -510,7 +510,7 @@ pub(crate) fn fit_right_front_with(
 /// equivalence proptest and the `spire-bench` speedup measurements (under
 /// the `reference-fit` feature) always compare against the real thing
 /// rather than a re-derivation. The only change from the original is the
-/// degenerate-`dx` guard in [`segment_error`], which now uses the shared
+/// degenerate-`dx` guard in [`segment_error`](reference::segment_error), which now uses the shared
 /// relative-epsilon test instead of `< f64::MIN_POSITIVE` (which only
 /// caught exact zeros and denormals).
 #[cfg(any(test, feature = "reference-fit"))]

@@ -103,7 +103,7 @@ proptest! {
             let opts = FitOptions { right_fit: mode, ..FitOptions::default() };
             let r = PiecewiseRoofline::fit("m".into(), samples.iter(), &opts).unwrap();
             for s in &samples {
-                let est = r.estimate_sample(s);
+                let est = r.estimate(s.intensity());
                 prop_assert!(
                     est >= s.throughput() - tol(s.throughput()),
                     "mode {mode:?}: estimate {est} below throughput {} at I={}",
@@ -382,7 +382,7 @@ proptest! {
         prop_assert_eq!(a.per_metric(), b.per_metric());
     }
 
-    /// The batch SoA estimate kernel ([`PiecewiseRoofline::estimate_column`])
+    /// The batch SoA estimate kernel ([`PiecewiseRoofline::estimate_soa`])
     /// is bit-identical to the scalar per-sample path, for models trained
     /// at every thread count (serial and parallel training must agree on
     /// the fit, and both estimate paths must agree on every sample).
@@ -398,7 +398,8 @@ proptest! {
         let model = SpireModel::train(&train_set, cfg).unwrap();
         for (metric, column) in probe_set.by_metric() {
             let Some(roofline) = model.roofline(metric) else { continue };
-            let batch = roofline.estimate_column(column);
+            let mut batch = Vec::new();
+            roofline.estimate_soa(column.intensities(), &mut batch);
             prop_assert_eq!(batch.len(), column.len());
             for (est, &intensity) in batch.iter().zip(column.intensities()) {
                 let scalar = roofline.estimate(intensity);
@@ -452,20 +453,22 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The chunked estimate kernel is a pure performance rewrite: for
-    /// every chunk width it is bit-identical to the scalar `estimate`
+    /// The chunked estimate kernel is a pure performance rewrite: at
+    /// every chunk offset it is bit-identical to the scalar `estimate`
     /// chain — NaN, infinities, and region-boundary-exact probes
     /// included, in every chunk position.
     #[test]
-    fn estimate_soa_chunked_is_bitwise_scalar_for_all_widths(
+    fn estimate_soa_is_bitwise_scalar_at_every_chunk_offset(
         rows in samples("m", 48),
         probes in prop::collection::vec(wild_f64(), 1..200),
-        width in 1usize..100,
+        pad in prop::collection::vec(wild_f64(), 0..100),
     ) {
         let r = PiecewiseRoofline::fit("m".into(), rows.iter(), &FitOptions::default()).unwrap();
-        // Mix in boundary-exact probes so `piecewise_eval`'s end-knot
-        // early returns land in arbitrary chunk positions.
-        let mut probes = probes;
+        // The pad shifts every probe to a different offset within the
+        // kernel's 64-lane chunks. Mix in boundary-exact probes so
+        // `piecewise_eval`'s end-knot early returns land in arbitrary
+        // chunk positions.
+        let mut probes = [pad, probes].concat();
         if let Some(apex) = r.apex() {
             probes.push(apex.x);
         }
@@ -476,16 +479,10 @@ proptest! {
             }
         }
         let mut out = Vec::new();
-        r.estimate_soa_chunked(&probes, &mut out, width);
+        r.estimate_soa(&probes, &mut out);
         prop_assert_eq!(out.len(), probes.len());
         for (&x, &got) in probes.iter().zip(&out) {
-            prop_assert_eq!(
-                got.to_bits(),
-                r.estimate(x).to_bits(),
-                "width {}, x {}",
-                width,
-                x
-            );
+            prop_assert_eq!(got.to_bits(), r.estimate(x).to_bits(), "x {}", x);
         }
     }
 

@@ -7,8 +7,9 @@
 //! perf stat -I <ms> -x, -e <events> -- <workload>
 //! ```
 //!
-//! and converts it into SPIRE [`Sample`]s, so a model can be trained on a
-//! real CPU's counters with the same code path used for the simulator.
+//! and converts it into SPIRE [`Sample`](spire_core::Sample)s, so a
+//! model can be trained on a real CPU's counters with the same code path
+//! used for the simulator.
 //!
 //! Each CSV row is `time,count,unit,event,run_time,pct_running[,...]`;
 //! rows whose count is `<not counted>` or `<not supported>` are skipped.

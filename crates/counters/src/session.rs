@@ -103,8 +103,9 @@ impl SessionReport {
 /// For each interval, the schedule's groups rotate in round-robin slices.
 /// Per `(group slice, event)` the session reads `T` (cycles), `W`
 /// (instructions) and `M_x` through the PMU; slices belonging to the same
-/// interval accumulate into one [`Sample`] per event. The fixed counters
-/// are measured alongside every group, exactly as on real hardware.
+/// interval accumulate into one [`Sample`](spire_core::Sample) per event.
+/// The fixed counters are measured alongside every group, exactly as on
+/// real hardware.
 ///
 /// # Panics
 ///
