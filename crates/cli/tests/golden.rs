@@ -342,3 +342,145 @@ fn json_envelope_is_uniform_across_subcommands() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The base set: the three metrics above plus `m_front`, whose Pareto
+/// front extends right of its apex.
+fn base_set() -> SampleSet {
+    let mut base = SampleSet::new();
+    for m in ["m_alpha", "m_beta", "m_gamma"] {
+        for i in 1..6 {
+            base.push(Sample::new(m, 10.0, (5 * i) as f64, (10 - i) as f64).unwrap());
+        }
+    }
+    for (w, d) in [(10.0, 10.0), (40.0, 10.0), (60.0, 6.0), (30.0, 1.0)] {
+        base.push(Sample::new("m_front", 10.0, w, d).unwrap());
+    }
+    base
+}
+
+/// The extra batch: it raises `m_alpha`'s apex (a full refit), adds a
+/// point right of `m_gamma`'s apex (a right-region refit) and one below
+/// `m_front`'s front (unchanged). It pins the `update` stage's per-batch
+/// `model_refit`/`model_unchanged` ordering.
+fn extra_batch() -> SampleSet {
+    let mut extra = SampleSet::new();
+    for i in 6..9 {
+        extra.push(Sample::new("m_alpha", 10.0, (5 * i) as f64, (10 - i) as f64).unwrap());
+    }
+    extra.push(Sample::new("m_gamma", 10.0, 10.0, 1.0).unwrap());
+    extra.push(Sample::new("m_front", 10.0, 20.0, 1.0).unwrap());
+    extra
+}
+
+/// `wl` is the base set, `wl2` the extra batch.
+fn two_workload_dataset() -> Dataset {
+    let mut ds = Dataset::new();
+    ds.insert("wl", base_set());
+    ds.insert("wl2", extra_batch());
+    ds
+}
+
+#[test]
+fn golden_train_incremental_json() {
+    let dir = std::env::temp_dir().join("spire-golden-incremental");
+    std::fs::create_dir_all(&dir).unwrap();
+    let data = dir.join("data.json");
+    let snap = dir.join("model.snapshot.json");
+    two_workload_dataset().save(&data).unwrap();
+    let result = run_str(&[
+        "train",
+        "--data",
+        data.to_str().unwrap(),
+        "--snapshot",
+        snap.to_str().unwrap(),
+        "--incremental",
+        "--json",
+    ]);
+    assert_eq!(exit_code(&result), EXIT_OK, "clean incremental training => 0");
+    assert_golden(
+        &normalize(&result.unwrap().text, dir.to_str().unwrap()),
+        "train_incremental.golden.json",
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn golden_update_json() {
+    let dir = std::env::temp_dir().join("spire-golden-update");
+    std::fs::create_dir_all(&dir).unwrap();
+    let data = dir.join("data.json");
+    let batch = dir.join("batch.json");
+    let snap = dir.join("model.snapshot.json");
+    let mut base_ds = Dataset::new();
+    base_ds.insert("wl", base_set());
+    base_ds.save(&data).unwrap();
+    let mut batch_ds = Dataset::new();
+    batch_ds.insert("wl2", extra_batch());
+    batch_ds.save(&batch).unwrap();
+    run_str(&[
+        "train",
+        "--data",
+        data.to_str().unwrap(),
+        "--snapshot",
+        snap.to_str().unwrap(),
+    ])
+    .unwrap();
+    let result = run_str(&[
+        "update",
+        "--model",
+        snap.to_str().unwrap(),
+        "--data",
+        data.to_str().unwrap(),
+        batch.to_str().unwrap(),
+        "--snapshot-out",
+        dir.join("updated.snapshot.json").to_str().unwrap(),
+        "--out-delta",
+        dir.join("delta.json").to_str().unwrap(),
+        "--json",
+    ]);
+    assert_eq!(exit_code(&result), EXIT_OK, "clean update => 0");
+    assert_golden(
+        &normalize(&result.unwrap().text, dir.to_str().unwrap()),
+        "update.golden.json",
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn golden_train_normalize_snapshot_bytes() {
+    // `--normalize` over a multi-workload, machine-tagged dataset, with
+    // one cycle-denominated metric (left unscaled): the snapshot file is
+    // pinned byte for byte.
+    let dir = std::env::temp_dir().join("spire-golden-normalize");
+    std::fs::create_dir_all(&dir).unwrap();
+    let data = dir.join("data.json");
+    let snap = dir.join("model.snapshot.json");
+    let mut ds = two_workload_dataset();
+    let mut stalls = SampleSet::new();
+    for i in 1..6 {
+        stalls.push(Sample::new("stalls_total", 10.0, (7 * i) as f64, (9 - i) as f64).unwrap());
+    }
+    ds.insert("wl3", stalls);
+    ds.set_machine(Some(
+        spire_sim::MachineCatalog::builtin()
+            .get("little")
+            .unwrap()
+            .spec(),
+    ));
+    ds.save(&data).unwrap();
+    let result = run_str(&[
+        "train",
+        "--data",
+        data.to_str().unwrap(),
+        "--snapshot",
+        snap.to_str().unwrap(),
+        "--normalize",
+    ]);
+    assert_eq!(exit_code(&result), EXIT_OK);
+    let bytes = std::fs::read_to_string(&snap).unwrap();
+    assert_golden(
+        &normalize(&bytes, dir.to_str().unwrap()),
+        "train_normalize.snapshot.golden.json",
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
