@@ -61,8 +61,8 @@ fn bench_snapshot(c: &mut Criterion) {
     group.finish();
 
     // Sanity outside the timed loop: both paths yield the same ensemble.
-    let (a, _) = load_model(&snapshot_json, SnapshotMode::Strict).unwrap();
-    let (b, _) = load_model(&raw_json, SnapshotMode::Strict).unwrap();
+    let (a, ..) = load_model(&snapshot_json, SnapshotMode::Strict).unwrap();
+    let (b, ..) = load_model(&raw_json, SnapshotMode::Strict).unwrap();
     assert_eq!(a, b);
 }
 

@@ -27,7 +27,7 @@ use spire_counters::Dataset;
 use spire_workloads::suite;
 
 /// Scores one trained model over the test runs: `(hits, mean |rel err|)`.
-fn score(engine: &mut Engine, model: &SpireModel, tests: &[WorkloadRun]) -> (usize, f64) {
+fn score(engine: &Engine, model: &SpireModel, tests: &[WorkloadRun]) -> (usize, f64) {
     let mut hits = 0usize;
     let mut err_sum = 0.0;
     for run in tests {
@@ -116,7 +116,7 @@ fn main() {
     ];
     for (mname, merge, aname, agg, rname, right) in variants {
         let model = engine.train_with(&dataset, config_with(merge, agg, right));
-        let (hits, err) = score(&mut engine, &model, &test_runs);
+        let (hits, err) = score(&engine, &model, &test_runs);
         println!(
             "{:<16} {:<12} {:<10} {:>4}/4 {:>12.3}",
             mname, aname, rname, hits, err
@@ -136,7 +136,7 @@ fn main() {
             .map(|r| (r.label.clone(), r.session.samples.clone()))
             .collect();
         let model = engine.train_with(&subset, TrainConfig::default());
-        let (hits, err) = score(&mut engine, &model, &test_runs);
+        let (hits, err) = score(&engine, &model, &test_runs);
         println!(
             "{:>10} {:>8} {:>4}/4 {:>12.3}",
             k,

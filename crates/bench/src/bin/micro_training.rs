@@ -13,7 +13,7 @@ use spire_workloads::{micro, suite};
 
 fn main() {
     let (cfg, _outdir) = config_from_args();
-    let mut engine = Engine::narrated(TrainConfig::default());
+    let engine = Engine::narrated(TrainConfig::default());
 
     engine.note("collecting microbenchmark corpus (4 sweeps x 8 steps)...");
     let micro_profiles = micro::full_corpus(8);

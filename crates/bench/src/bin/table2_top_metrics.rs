@@ -14,7 +14,7 @@ use spire_workloads::suite;
 
 fn main() {
     let (cfg, _outdir) = config_from_args();
-    let mut engine = Engine::narrated(TrainConfig::default());
+    let engine = Engine::narrated(TrainConfig::default());
 
     engine.note("collecting training corpus (23 workloads)...");
     let training_runs = run_suite(&suite::training(), &cfg);

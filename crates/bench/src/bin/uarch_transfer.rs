@@ -113,7 +113,7 @@ fn main() {
     let (cfg, _outdir) = config_from_args();
     let quick = std::env::args().any(|a| a == "--quick")
         || std::env::var_os("SPIRE_BENCH_SMOKE").is_some_and(|v| v == "1");
-    let mut engine = Engine::narrated(TrainConfig::default());
+    let engine = Engine::narrated(TrainConfig::default());
 
     let catalog = MachineCatalog::builtin();
     let mut data: Vec<Trained> = Vec::new();

@@ -1,18 +1,18 @@
-//! The experiment harness's handle on the `spire_core::pipeline` engine.
+//! The experiment harness's handle on the `spire_core::pipeline` steps.
 //!
 //! Every `src/bin/` experiment trains and scores through an [`Engine`],
-//! so the bench path exercises exactly the same staged core as the CLI:
-//! Build → Train for model fitting, Estimate → Analyze for reports, with
+//! so the bench path calls exactly the same steps as the CLI: `build` →
+//! `train` for model fitting, `estimate` → `analyze` for reports, with
 //! stage timings, quarantine decisions, and free-form narration all
 //! flowing through the diagnostics bus instead of ad-hoc `eprintln!`s.
 
 use std::sync::Arc;
 
 use spire_core::pipeline::{
-    AnalyzeStage, BuildStage, CollectingSink, EstimateStage, Event, Pipeline, PipelineConfig,
-    RunContext, Stage, StderrSink, TrainStage,
+    analyze, estimate, train, CollectingSink, Event, PipelineConfig, RunContext, StderrSink,
 };
 use spire_core::{BottleneckReport, SampleSet, SpireModel, TrainConfig};
+use spire_counters::pipeline::build;
 use spire_counters::Dataset;
 
 /// A pipeline-backed experiment session. One engine can train any number
@@ -53,20 +53,15 @@ impl Engine {
         self.ctx.note("bench", text);
     }
 
-    /// Trains a SPIRE model from `dataset` through Build → Train under
-    /// the engine's configuration.
+    /// Trains a SPIRE model from `dataset` through `build` → `train`
+    /// under the engine's configuration.
     ///
     /// # Panics
     ///
     /// Panics if training fails (experiment corpora are never empty).
-    pub fn train(&mut self, dataset: &Dataset) -> SpireModel {
-        let sets: Vec<(String, SampleSet)> = dataset
-            .iter()
-            .map(|(label, set)| (label.to_owned(), set.clone()))
-            .collect();
-        Pipeline::new(BuildStage)
-            .then(TrainStage)
-            .run(sets, &mut self.ctx)
+    pub fn train(&self, dataset: &Dataset) -> SpireModel {
+        let merged = build(&self.ctx, dataset).expect("merging is infallible");
+        train(&self.ctx, &merged)
             .expect("experiment corpus trains")
             .model
     }
@@ -80,19 +75,15 @@ impl Engine {
     }
 
     /// Builds the annotated bottleneck report for one sample set under a
-    /// trained model, through Estimate → Analyze.
+    /// trained model, through `estimate` → `analyze`.
     ///
     /// # Panics
     ///
     /// Panics if the samples share no metrics with the model (impossible
     /// when both came from the same event catalog).
-    pub fn report(&mut self, model: &SpireModel, samples: &SampleSet) -> BottleneckReport {
-        let estimate = EstimateStage { model }
-            .execute(samples.clone(), &mut self.ctx)
-            .expect("shared event catalog");
-        AnalyzeStage::default()
-            .execute(estimate, &mut self.ctx)
-            .expect("analysis is infallible")
+    pub fn report(&self, model: &SpireModel, samples: &SampleSet) -> BottleneckReport {
+        let estimate = estimate(&self.ctx, model, samples).expect("shared event catalog");
+        analyze(&self.ctx, &estimate).expect("analysis is infallible")
     }
 
     /// The events emitted so far, in order.
@@ -126,7 +117,7 @@ mod tests {
     #[test]
     fn engine_train_matches_direct_api() {
         let ds = tiny_dataset();
-        let mut engine = Engine::new(TrainConfig::default());
+        let engine = Engine::new(TrainConfig::default());
         let via_engine = engine.train(&ds);
         let direct = SpireModel::train(&ds.merged(), TrainConfig::default()).unwrap();
         assert_eq!(via_engine, direct);
@@ -140,7 +131,7 @@ mod tests {
     #[test]
     fn engine_report_matches_direct_api() {
         let ds = tiny_dataset();
-        let mut engine = Engine::new(TrainConfig::default());
+        let engine = Engine::new(TrainConfig::default());
         let model = engine.train(&ds);
         let samples = ds.get("wl").unwrap();
         let via_engine = engine.report(&model, samples);

@@ -1,10 +1,10 @@
-//! `spire analyze`: snapshot load → Estimate → Analyze through the
-//! pipeline engine, ranking bottleneck metrics for one workload.
+//! `spire analyze`: the `load-model`, `estimate` and `analyze` pipeline
+//! steps, ranking bottleneck metrics for one workload.
 
 use std::fmt::Write as _;
 
 use serde::Content;
-use spire_core::pipeline::{AnalyzeStage, EstimateStage, Stage};
+use spire_core::pipeline::{analyze, estimate};
 
 use crate::args::Args;
 use crate::commands::CmdResult;
@@ -16,8 +16,8 @@ pub(crate) fn run(args: &Args) -> CmdResult {
     let data_path = args.require("data")?;
     let label = args.require("workload")?;
     let top: usize = args.get_or("top", 10)?;
-    let mut runner = Runner::from_args(args)?;
-    let (mut model, machine, mut out) = load_model(&mut runner, model_path)?;
+    let runner = Runner::from_args(args)?;
+    let (mut model, machine, mut out) = load_model(&runner, model_path)?;
     model.set_threads(args.get_or("threads", model.config().threads)?);
     let (dataset, warn) = load_dataset(&runner, data_path)?;
     out.push_str(&warn);
@@ -32,8 +32,7 @@ pub(crate) fn run(args: &Args) -> CmdResult {
         samples,
     )?;
     out.push_str(&warn);
-    let estimate = EstimateStage { model: &model }.execute(samples, &mut runner.ctx)?;
-    let report = AnalyzeStage::default().execute(estimate, &mut runner.ctx)?;
+    let report = analyze(&runner.ctx, &estimate(&runner.ctx, &model, &samples)?)?;
     write!(
         out,
         "workload: {label}\nensemble throughput estimate: {:.4}\n\n",

@@ -1,10 +1,10 @@
-//! `spire estimate`: snapshot load → Estimate through the pipeline
-//! engine, printing just the ensemble throughput for one workload.
+//! `spire estimate`: the `load-model` and `estimate` pipeline steps,
+//! printing just the ensemble throughput for one workload.
 
 use std::fmt::Write as _;
 
 use serde::Content;
-use spire_core::pipeline::{EstimateStage, Stage};
+use spire_core::pipeline;
 
 use crate::args::Args;
 use crate::commands::CmdResult;
@@ -15,8 +15,8 @@ pub(crate) fn run(args: &Args) -> CmdResult {
     let model_path = args.require("model")?;
     let data_path = args.require("data")?;
     let label = args.require("workload")?;
-    let mut runner = Runner::from_args(args)?;
-    let (mut model, machine, mut out) = load_model(&mut runner, model_path)?;
+    let runner = Runner::from_args(args)?;
+    let (mut model, machine, mut out) = load_model(&runner, model_path)?;
     model.set_threads(args.get_or("threads", model.config().threads)?);
     let (dataset, warn) = load_dataset(&runner, data_path)?;
     out.push_str(&warn);
@@ -31,7 +31,7 @@ pub(crate) fn run(args: &Args) -> CmdResult {
         samples,
     )?;
     out.push_str(&warn);
-    let estimate = EstimateStage { model: &model }.execute(samples, &mut runner.ctx)?;
+    let estimate = pipeline::estimate(&runner.ctx, &model, &samples)?;
     writeln!(
         out,
         "workload: {label}\nensemble throughput estimate: {:.6}",

@@ -1,8 +1,9 @@
 //! `spire ingest` / `import-perf`: fault-tolerant `perf stat` CSV import
-//! through the counters crate's pipeline stage.
+//! through the counters crate's `ingest` pipeline step, configured by
+//! `--min-frac`, `--budget` and `--no-scale`.
 
-use spire_core::pipeline::Stage;
-use spire_counters::{Dataset, IngestStage};
+use spire_counters::pipeline::ingest;
+use spire_counters::{Dataset, IngestConfig};
 
 use crate::args::Args;
 use crate::commands::CmdResult;
@@ -13,14 +14,18 @@ pub(crate) fn run(args: &Args) -> CmdResult {
     let csv_path = args.require("csv")?;
     let out_path = args.require("out")?;
     let label = args.get("label").unwrap_or("imported");
-    let mut runner = Runner::from_args(args)?;
-    let text = std::fs::read_to_string(csv_path)?;
-    let stage = IngestStage {
-        label: label.to_owned(),
+    let defaults = IngestConfig::default();
+    let config = IngestConfig {
+        min_running_frac: args.get_or("min-frac", defaults.min_running_frac)?,
+        error_budget: args.get_or("budget", defaults.error_budget)?,
+        scale_multiplexed: !args.flag("no-scale"),
+        ..defaults
     };
-    // In strict mode the stage fails when over budget, before anything is
+    let runner = Runner::from_args(args)?;
+    let text = std::fs::read_to_string(csv_path)?;
+    // In strict mode the step fails when over budget, before anything is
     // written — the partial dataset only survives lenient runs.
-    let out = stage.execute(text, &mut runner.ctx)?;
+    let out = ingest(&runner.ctx, label, &text, &config)?;
     // The full table embeds the summary as its first line.
     let mut log = if args.flag("ingest-report") {
         out.report.to_table(20)

@@ -1,8 +1,9 @@
 //! Per-command modules behind the `spire` dispatcher.
 //!
 //! Each module does exactly three things: parse its arguments into a
-//! [`PipelineConfig`], run the `spire_core::pipeline` engine, and render
-//! the result — human text on stdout, or the shared `--json` envelope.
+//! [`PipelineConfig`], call the `spire_core::pipeline` steps (plain
+//! functions over one [`RunContext`]), and render the result — human
+//! text on stdout, or the shared `--json` envelope.
 //! Degradation (exit code 2) is derived from the diagnostics bus, never
 //! tracked ad hoc: any `Severity::Degraded` event flips it.
 
@@ -22,14 +23,14 @@ pub(crate) mod update;
 
 pub(crate) mod estimate;
 
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 use serde::Content;
 use spire_core::pipeline::{
-    CollectingSink, Event, EventSink, IngestSettings, LoadModelStage, PipelineConfig, RunContext,
-    Severity, Stage,
+    self, CollectingSink, Event, EventSink, PipelineConfig, RunContext, Severity,
 };
 use spire_core::{
     normalize_set, FitOptions, MachineSpec, SampleSet, SnapshotMode, SpireError, SpireModel,
@@ -57,11 +58,11 @@ impl EventSink for WarnSink {
     }
 }
 
-/// One command's engine handle: the [`RunContext`] plus the collecting
+/// One command's run handle: the [`RunContext`] plus the collecting
 /// sink every event is mirrored into (feeding the `--json` envelope, the
 /// warning renderers, and the degraded flag).
 pub(crate) struct Runner {
-    /// The run context threaded through every stage.
+    /// The run context every pipeline step reports to.
     pub ctx: RunContext,
     sink: Arc<CollectingSink>,
 }
@@ -102,9 +103,8 @@ impl Runner {
 
 /// Builds the run's [`PipelineConfig`] from the uniform option names
 /// (`--threads`, `--strict`, `--min-samples`, `--metric-budget`,
-/// `--max-front`, `--thin-front`, `--min-frac`, `--budget`,
-/// `--no-scale`, `--seed`). Options a command doesn't document simply
-/// keep their defaults.
+/// `--max-front`, `--thin-front`, `--seed`). Options a command doesn't
+/// document simply keep their defaults.
 pub(crate) fn pipeline_config(args: &Args) -> Result<PipelineConfig, CmdError> {
     let fit_defaults = FitOptions::default();
     let strict = args.flag("strict");
@@ -130,53 +130,32 @@ pub(crate) fn pipeline_config(args: &Args) -> Result<PipelineConfig, CmdError> {
         } else {
             SnapshotMode::Lenient
         },
-        ingest: IngestSettings {
-            min_running_frac: args.get_or("min-frac", 0.05)?,
-            error_budget: args.get_or("budget", 0.5)?,
-            scale_multiplexed: !args.flag("no-scale"),
-        },
         seed: args.get_or("seed", 1)?,
     })
 }
 
-/// Loads a model from `path` through [`LoadModelStage`] (accepting a
-/// versioned snapshot or legacy raw-model JSON, in the mode chosen by
-/// `--strict`), rendering any salvage from the event stream into the
-/// same warning text the pre-pipeline CLI printed.
+/// Loads a model from `path` through [`pipeline::load_model`] (accepting
+/// a versioned snapshot or legacy raw-model JSON, in the mode chosen by
+/// `--strict`), rendering any salvage into warning text for stdout.
+/// Returns the model, its machine tag (legacy raw-model JSON has none),
+/// and that text.
 pub(crate) fn load_model(
-    runner: &mut Runner,
+    runner: &Runner,
     path: &str,
 ) -> Result<(SpireModel, Option<MachineSpec>, String), CmdError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read model file {path}: {e}"))?;
-    // The machine tag rides in the snapshot container's provenance, which
-    // the model-load stage does not surface; legacy raw-model JSON (no
-    // container) simply has no machine.
-    let machine = spire_core::ModelSnapshot::from_json(&text)
-        .ok()
-        .and_then(|s| s.machine().cloned());
-    let stage = LoadModelStage {
-        source: path.to_owned(),
-    };
-    let model = stage.execute(text, &mut runner.ctx)?;
+    let (model, machine, report) = pipeline::load_model(&runner.ctx, path, &text)?;
     let mut log = String::new();
-    let events = runner.events();
-    if let Some(Event::SnapshotSalvaged {
-        source,
-        dropped,
-        total,
-    }) = events
-        .iter()
-        .find(|e| matches!(e, Event::SnapshotSalvaged { .. }))
-    {
+    if let Some(report) = report.filter(|r| r.is_degraded()) {
         writeln!(
             log,
-            "warning: salvaged snapshot {source}: {dropped} of {total} metric records dropped"
+            "warning: salvaged snapshot {path}: {} of {} metric records dropped",
+            report.dropped.len(),
+            report.metrics_total
         )?;
-        for event in &events {
-            if let Event::SnapshotRecordDropped { metric, reason } = event {
-                writeln!(log, "  dropped {metric}: {reason}")?;
-            }
+        for d in &report.dropped {
+            writeln!(log, "  dropped {}: {}", d.metric, d.reason)?;
         }
     }
     Ok((model, machine, log))
@@ -242,14 +221,15 @@ pub(crate) fn check_machine(
 /// (peak-normalized) model gets the data normalized by the *data*
 /// machine's peaks — that is the cross-machine transfer path — while a
 /// raw model gets a machine-identity check instead. Returns the samples
-/// to estimate with plus warning text for stdout.
-pub(crate) fn align_samples(
+/// to estimate with (borrowed unless normalized) plus warning text for
+/// stdout.
+pub(crate) fn align_samples<'s>(
     runner: &Runner,
     context: &str,
     model_machine: Option<&MachineSpec>,
     data_machine: Option<&MachineSpec>,
-    samples: &SampleSet,
-) -> Result<(SampleSet, String), CmdError> {
+    samples: &'s SampleSet,
+) -> Result<(Cow<'s, SampleSet>, String), CmdError> {
     if model_machine.is_some_and(|m| m.normalized) {
         if let Some(d) = data_machine {
             runner.ctx.note(
@@ -260,7 +240,7 @@ pub(crate) fn align_samples(
                     d.peaks.throughput
                 ),
             );
-            return Ok((normalize_set(samples, &d.peaks), String::new()));
+            return Ok((Cow::Owned(normalize_set(samples, &d.peaks)), String::new()));
         }
         let warn = format!(
             "warning: model is peak-normalized but the data carries no machine \
@@ -269,10 +249,10 @@ pub(crate) fn align_samples(
         runner
             .ctx
             .note(context, warn.trim_start_matches("warning: ").trim_end());
-        return Ok((samples.clone(), warn));
+        return Ok((Cow::Borrowed(samples), warn));
     }
     let warn = check_machine(runner, context, model_machine, data_machine)?;
-    Ok((samples.clone(), warn))
+    Ok((Cow::Borrowed(samples), warn))
 }
 
 /// Loads a dataset from `path` through [`Dataset::load_with_mode`] — the
@@ -326,17 +306,6 @@ pub(crate) fn find_workload(args: &Args) -> Result<WorkloadProfile, CmdError> {
     let config = args.get("config").unwrap_or("");
     suite::by_name(name, config)
         .ok_or_else(|| format!("no workload named `{name}` with config `{config}`").into())
-}
-
-/// Clones a dataset's labeled entries in label order — the
-/// `BuildStage` input whose merge reproduces `Dataset::merged` exactly.
-pub(crate) fn labeled_sets(
-    dataset: &spire_counters::Dataset,
-) -> Vec<(String, spire_core::SampleSet)> {
-    dataset
-        .iter()
-        .map(|(label, set)| (label.to_owned(), set.clone()))
-        .collect()
 }
 
 /// Resolves a machine selector — a catalog preset name or the path of a

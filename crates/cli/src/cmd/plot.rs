@@ -14,8 +14,8 @@ pub(crate) fn run(args: &Args) -> CmdResult {
     let out_path = args.require("out")?;
     let log_axes = !args.flag("linear");
 
-    let mut runner = Runner::from_args(args)?;
-    let (model, _machine, mut log) = load_model(&mut runner, model_path)?;
+    let runner = Runner::from_args(args)?;
+    let (model, _machine, mut log) = load_model(&runner, model_path)?;
     let (dataset, warn) = load_dataset(&runner, data_path)?;
     log.push_str(&warn);
     let metric = spire_core::MetricId::new(metric_name);

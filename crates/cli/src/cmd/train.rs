@@ -1,24 +1,25 @@
-//! `spire train`: dataset → Build → Train through the pipeline engine,
+//! `spire train`: the `build` and `train` pipeline steps over a dataset,
 //! with model/snapshot persistence at the edges. With `--incremental`
-//! the labeled sets feed an [`OnlineTrainer`] one batch per workload
-//! through [`UpdateStage`] instead of one monolithic fit — the result is
+//! the workloads feed an [`OnlineTrainer`] one batch each through the
+//! `update` step instead of one monolithic fit — the result is
 //! bit-identical, and the per-batch `model_refit`/`model_unchanged`
 //! events show how much of the model each workload actually moved.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::path::Path;
 
 use serde::Content;
-use spire_core::pipeline::Pipeline;
-use spire_core::pipeline::{BuildStage, Stage, TrainStage, UpdateStage};
+use spire_core::pipeline::{train, update};
 use spire_core::{
     normalize_set, write_atomic, MachineSpec, ModelSnapshot, OnlineTrainer, TrainOutcome,
 };
+use spire_counters::pipeline::build;
 
 use crate::args::Args;
 use crate::commands::CmdResult;
 
-use super::{json, labeled_sets, load_dataset, Runner};
+use super::{json, load_dataset, Runner};
 
 pub(crate) fn run(args: &Args) -> CmdResult {
     let data_path = args.require("data")?;
@@ -27,7 +28,7 @@ pub(crate) fn run(args: &Args) -> CmdResult {
     if out_path.is_none() && snapshot_path.is_none() {
         return Err("train requires --out and/or --snapshot".into());
     }
-    let mut runner = Runner::from_args(args)?;
+    let runner = Runner::from_args(args)?;
     let (dataset, mut log) = load_dataset(&runner, data_path)?;
     if args.flag("ingest-report") {
         let mut any = false;
@@ -67,22 +68,21 @@ pub(crate) fn run(args: &Args) -> CmdResult {
         }
         (false, m) => m.cloned(),
     };
-    let mut sets = labeled_sets(&dataset);
-    if normalize {
-        let peaks = &dataset.machine().expect("checked above").peaks;
-        for (_, set) in &mut sets {
-            *set = normalize_set(set, peaks);
-        }
-    }
+    // Normalization scales each sample on its own, so normalizing the
+    // merged set equals merging the normalized per-workload sets.
+    let peaks = dataset.machine().filter(|_| normalize).map(|m| &m.peaks);
     let outcome = if args.flag("incremental") {
         let mut trainer = OnlineTrainer::new(
             runner.ctx.config.train.clone(),
             runner.ctx.config.strictness,
         )?;
         let mut last = None;
-        for (label, set) in sets {
-            let (next, outcome) = UpdateStage.execute((trainer, set), &mut runner.ctx)?;
-            trainer = next;
+        for (label, set) in dataset.iter() {
+            let set = match peaks {
+                Some(peaks) => Cow::Owned(normalize_set(set, peaks)),
+                None => Cow::Borrowed(set),
+            };
+            let outcome = update(&runner.ctx, &mut trainer, &set)?;
             writeln!(log, "{label}: {}", outcome.update.summary())?;
             last = Some(outcome);
         }
@@ -98,9 +98,12 @@ pub(crate) fn run(args: &Args) -> CmdResult {
             fit_notices: last.fit_notices,
         }
     } else {
-        Pipeline::new(BuildStage)
-            .then(TrainStage)
-            .run(sets, &mut runner.ctx)?
+        let merged = build(&runner.ctx, &dataset)?;
+        let merged = match peaks {
+            Some(peaks) => normalize_set(&merged, peaks),
+            None => merged,
+        };
+        train(&runner.ctx, &merged)?
     };
     writeln!(log, "{}", outcome.report.to_table(10))?;
     if let Some(path) = out_path {

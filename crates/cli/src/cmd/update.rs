@@ -1,6 +1,6 @@
 //! `spire update`: incremental model maintenance. Seeds an
 //! [`OnlineTrainer`] from the base dataset, feeds each positional batch
-//! file through [`UpdateStage`], and persists the result as an updated
+//! file through the `update` pipeline step, and persists the result as an updated
 //! snapshot and/or a delta (changed metric records only) against the
 //! existing snapshot — both written atomically.
 //!
@@ -13,8 +13,8 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Duration;
 
-use spire_core::pipeline::{Stage, UpdateStage};
-use spire_core::{write_atomic, ModelSnapshot, OnlineTrainer, SnapshotDelta, UpdateOutcome};
+use spire_core::pipeline::update;
+use spire_core::{write_atomic, ModelSnapshot, OnlineTrainer, SnapshotDelta};
 use spire_serve::{Client, ClientConfig};
 
 use crate::args::Args;
@@ -124,7 +124,7 @@ pub(crate) fn run(args: &Args) -> CmdResult {
         .map_err(|e| format!("cannot read snapshot {model_path}: {e}"))?;
     let base = ModelSnapshot::from_json(&base_text)?;
 
-    let mut runner = Runner::from_args(args)?;
+    let runner = Runner::from_args(args)?;
     // An update must be fit-compatible with the base snapshot, so the
     // training options come from the snapshot itself; only the thread
     // count is a run-time choice.
@@ -140,9 +140,7 @@ pub(crate) fn run(args: &Args) -> CmdResult {
     log.push_str(&warn);
     let warn = check_machine(&runner, "update", base.machine(), dataset.machine())?;
     log.push_str(&warn);
-    let (next, outcome) = UpdateStage.execute((trainer, dataset.merged()), &mut runner.ctx)?;
-    trainer = next;
-    let mut last: UpdateOutcome = outcome;
+    let mut last = update(&runner.ctx, &mut trainer, &dataset.merged())?;
     writeln!(
         log,
         "seeded from {data_path}: {} samples, {} metrics",
@@ -164,8 +162,7 @@ pub(crate) fn run(args: &Args) -> CmdResult {
         log.push_str(&warn);
         let warn = check_machine(&runner, "update", base.machine(), batch.machine())?;
         log.push_str(&warn);
-        let (next, outcome) = UpdateStage.execute((trainer, batch.merged()), &mut runner.ctx)?;
-        trainer = next;
+        let outcome = update(&runner.ctx, &mut trainer, &batch.merged())?;
         samples_added += outcome.update.samples_added;
         writeln!(log, "{path}: {}", outcome.update.summary())?;
         last = outcome;

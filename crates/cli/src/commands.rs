@@ -3,10 +3,11 @@
 //! is testable without capturing stdout, and so partial success (a
 //! degraded-but-usable result) is visible to the process exit code.
 //!
-//! Every command runs through the `spire_core::pipeline` engine: a
-//! [`RunContext`](spire_core::RunContext) carries the run's configuration
-//! and a diagnostics bus of typed events, and the degraded flag (exit
-//! code 2) is derived from that event stream rather than tracked ad hoc.
+//! Every command calls the `spire_core::pipeline` steps over one
+//! [`RunContext`](spire_core::RunContext), which carries the run's
+//! configuration and a diagnostics bus of typed events; the degraded flag
+//! (exit code 2) is derived from that event stream rather than tracked ad
+//! hoc.
 
 use std::error::Error;
 

@@ -396,7 +396,11 @@ fn golden_train_incremental_json() {
         "--incremental",
         "--json",
     ]);
-    assert_eq!(exit_code(&result), EXIT_OK, "clean incremental training => 0");
+    assert_eq!(
+        exit_code(&result),
+        EXIT_OK,
+        "clean incremental training => 0"
+    );
     assert_golden(
         &normalize(&result.unwrap().text, dir.to_str().unwrap()),
         "train_incremental.golden.json",

@@ -92,9 +92,7 @@ pub use ensemble::{
 pub use error::{Result, SpireError};
 pub use machine::{config_fingerprint, normalize_set, MachinePeaks, MachineSpec};
 pub use online::{OnlineTrainer, UpdateOutcome, UpdateReport};
-pub use pipeline::{
-    CollectingSink, DiagnosticsBus, EventSink, Pipeline, PipelineConfig, RunContext, Stage,
-};
+pub use pipeline::{CollectingSink, DiagnosticsBus, EventSink, PipelineConfig, RunContext};
 pub use roofline::{FitOptions, PiecewiseRoofline, RightFitMode, RightRegion, ThinningNotice};
 pub use sample::{MetricColumn, MetricId, Sample, SampleIter, SampleSet};
 pub use snapshot::{

@@ -31,14 +31,14 @@ pub enum Severity {
 pub enum Event {
     /// A stage began executing.
     StageStarted {
-        /// Stage name (`ingest`, `build`, `train`, `estimate`, `analyze`, …).
+        /// The stage's name (`ingest`, `build`, `train`, `estimate`, `analyze`, …).
         stage: String,
         /// Input item count, when the stage can measure it.
         items_in: Option<usize>,
     },
     /// A stage finished successfully.
     StageFinished {
-        /// Stage name.
+        /// The stage's name.
         stage: String,
         /// Wall-clock time the stage took, in milliseconds.
         wall_ms: f64,
@@ -49,7 +49,7 @@ pub enum Event {
     },
     /// A stage returned an error; the pipeline stops here.
     StageFailed {
-        /// Stage name.
+        /// The stage's name.
         stage: String,
         /// The error's display text.
         error: String,
@@ -114,7 +114,7 @@ pub enum Event {
     },
     /// How much of a stage's error budget a run consumed.
     BudgetConsumed {
-        /// Stage name.
+        /// The stage's name.
         stage: String,
         /// Fraction of the input quarantined (0.0–1.0).
         consumed: f64,
@@ -266,7 +266,7 @@ pub enum Event {
     },
     /// Free-form progress text (the bench bins' narration).
     Note {
-        /// Stage or context name.
+        /// The stage or context name.
         stage: String,
         /// The message.
         text: String,

@@ -1,17 +1,18 @@
-//! The staged pipeline engine: one composable ingest → build → train →
-//! estimate → analyze core shared by the CLI and the bench harness.
+//! The pipeline: plain ingest → build → train → estimate → analyze calls
+//! shared by the CLI and the bench harness, instrumented on one bus.
 //!
-//! Every stage is a [`Stage`] implementation threaded through a single
-//! [`RunContext`], which owns the run's [`PipelineConfig`] and its
-//! [`DiagnosticsBus`]. The bus replaces ad-hoc report threading: stages
-//! emit typed [`Event`]s (stage start/finish with wall time and item
-//! counts, quarantine decisions, salvage warnings, budget consumption)
-//! into pluggable [`EventSink`]s — a [`CollectingSink`] for tests and the
-//! CLI's renderers, a [`StderrSink`] for humans, a [`JsonLinesSink`] for
-//! machines.
+//! Each step is a function in [`stages`] (ingest and build live in
+//! `spire_counters::pipeline`) taking the run's [`RunContext`] and
+//! borrowed inputs. The context owns the run's [`PipelineConfig`] and its
+//! [`DiagnosticsBus`]; [`RunContext::stage`] is the one place that wraps
+//! a step in `stage_started` / `stage_finished` / `stage_failed` events.
+//! Steps also emit typed [`Event`]s for their decisions (quarantines,
+//! salvage warnings, budget consumption) into pluggable [`EventSink`]s —
+//! a [`CollectingSink`] for tests and the CLI's renderers, a
+//! [`StderrSink`] for humans, a [`JsonLinesSink`] for machines.
 //!
-//! The engine adds **no** computation of its own: stages call exactly the
-//! library entry points the pre-pipeline callers used
+//! The steps add **no** computation of their own: each calls exactly the
+//! library entry point a direct caller would
 //! ([`crate::SpireModel::train_with_report`], [`crate::snapshot::load_model`],
 //! [`crate::SpireModel::estimate`], …), so models, snapshots, estimates and
 //! rankings produced through the pipeline are bit-identical to direct API
@@ -28,50 +29,16 @@ use std::time::Instant;
 
 use crate::ensemble::{TrainConfig, TrainStrictness};
 use crate::snapshot::SnapshotMode;
+use crate::Result;
 
 pub use event::{Event, Severity};
 pub use stages::{
-    AnalyzeStage, BuildStage, EstimateStage, LoadModelStage, TrainStage, UpdateStage,
+    analyze, emit_salvage_events, emit_train_events, estimate, load_model, train, update,
 };
 
-/// Errors flowing out of pipeline stages. Stages wrap heterogeneous
-/// failures (I/O, parse errors, [`crate::SpireError`]), so the engine uses
-/// the widest practical type; typed spire errors pass through unwrapped
-/// and can be downcast.
-pub type StageError = Box<dyn std::error::Error + Send + Sync>;
-
-/// Result alias for stage execution.
-pub type StageResult<T> = Result<T, StageError>;
-
-/// Ingest knobs mirrored into core so [`PipelineConfig`] can be a true
-/// superset of every layer's configuration without a dependency cycle
-/// (spire-counters depends on spire-core, not vice versa). The counters
-/// crate's `IngestStage` converts these into its own `IngestConfig`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IngestSettings {
-    /// Minimum multiplexing fraction a row needs to be trusted.
-    pub min_running_frac: f64,
-    /// Quarantined-row fraction tolerated before the ingest is declared
-    /// over budget.
-    pub error_budget: f64,
-    /// Whether to scale multiplexed counts by `1/running_frac`.
-    pub scale_multiplexed: bool,
-}
-
-impl Default for IngestSettings {
-    fn default() -> Self {
-        IngestSettings {
-            min_running_frac: 0.05,
-            error_budget: 0.5,
-            scale_multiplexed: true,
-        }
-    }
-}
-
 /// The one configuration object a pipeline run carries: a superset of
-/// [`TrainConfig`] / [`crate::FitOptions`] (via `train.fit`) and the
-/// ingest knobs, plus run-wide policy (strictness, snapshot handling) and
-/// the determinism seed.
+/// [`TrainConfig`] / [`crate::FitOptions`] (via `train.fit`) plus run-wide
+/// policy (strictness, snapshot handling) and the determinism seed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
     /// Training configuration (includes fit options and thread count).
@@ -81,8 +48,6 @@ pub struct PipelineConfig {
     pub strictness: TrainStrictness,
     /// How snapshot loads treat damaged records.
     pub snapshot_mode: SnapshotMode,
-    /// Ingest knobs, forwarded to the counters crate's `IngestStage`.
-    pub ingest: IngestSettings,
     /// Workload-stream seed for stages that synthesize data.
     pub seed: u64,
 }
@@ -93,7 +58,6 @@ impl Default for PipelineConfig {
             train: TrainConfig::default(),
             strictness: TrainStrictness::Lenient,
             snapshot_mode: SnapshotMode::Lenient,
-            ingest: IngestSettings::default(),
             seed: 1,
         }
     }
@@ -247,10 +211,10 @@ impl DiagnosticsBus {
     }
 }
 
-/// Everything a run threads through its stages: configuration, the
+/// Everything a run threads through its steps: configuration, the
 /// diagnostics bus, and the determinism seed (inside the config). One
-/// `RunContext` is created per pipeline run and passed by mutable
-/// reference down the stage chain — stages never own it.
+/// `RunContext` is created per run and passed by shared reference to
+/// every step.
 #[derive(Debug)]
 pub struct RunContext {
     /// The run's configuration.
@@ -301,67 +265,54 @@ impl RunContext {
     pub fn bus(&self) -> &DiagnosticsBus {
         &self.bus
     }
-}
 
-/// One typed pipeline stage: consumes `In`, produces `Out`, and reports
-/// its decisions on the [`RunContext`]'s bus.
-///
-/// Implementations override [`Stage::run`]; the provided
-/// [`Stage::execute`] wraps it with start/finish/failure instrumentation
-/// (wall time and item counts), so every stage is observable without
-/// writing any event plumbing.
-pub trait Stage {
-    /// Input type.
-    type In;
-    /// Output type.
-    type Out;
-
-    /// Stable stage name used in events (`ingest`, `train`, …).
-    fn name(&self) -> &'static str;
-
-    /// Input item count for instrumentation, when measurable.
-    fn items_in(&self, _input: &Self::In) -> Option<usize> {
-        None
-    }
-
-    /// Output item count for instrumentation, when measurable.
-    fn items_out(&self, _output: &Self::Out) -> Option<usize> {
-        None
-    }
-
-    /// The stage body.
+    /// Runs `body` as the pipeline stage `name`: emits `StageStarted`,
+    /// then `StageFinished` (wall time, `items_in`, and `items_out` of
+    /// the result) or `StageFailed`. This is the only code that builds
+    /// stage events.
+    ///
+    /// ```
+    /// use spire_core::pipeline::{CollectingSink, Event, PipelineConfig, RunContext};
+    /// use std::sync::Arc;
+    ///
+    /// let sink = Arc::new(CollectingSink::new());
+    /// let ctx = RunContext::new(PipelineConfig::default()).with_sink(sink.clone());
+    /// let doubled = ctx
+    ///     .stage("double", Some(3), || Ok(vec![2, 4, 6]), |v| Some(v.len()))
+    ///     .unwrap();
+    /// assert_eq!(doubled, [2, 4, 6]);
+    /// let kinds: Vec<&str> = sink.events().iter().map(Event::kind).collect();
+    /// assert_eq!(kinds, ["stage_started", "stage_finished"]);
+    /// ```
     ///
     /// # Errors
     ///
-    /// Implementation-specific; errors abort the pipeline run.
-    fn run(&self, input: Self::In, ctx: &mut RunContext) -> StageResult<Self::Out>;
-
-    /// Runs the stage with bus instrumentation: `StageStarted`, then
-    /// `StageFinished` (wall time + item counts) or `StageFailed`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Stage::run`]'s error after emitting `StageFailed`.
-    fn execute(&self, input: Self::In, ctx: &mut RunContext) -> StageResult<Self::Out> {
-        let items_in = self.items_in(&input);
-        ctx.emit(Event::StageStarted {
-            stage: self.name().to_owned(),
+    /// Returns `body`'s error after emitting `StageFailed` for it.
+    pub fn stage<T>(
+        &self,
+        name: &str,
+        items_in: Option<usize>,
+        body: impl FnOnce() -> Result<T>,
+        items_out: impl FnOnce(&T) -> Option<usize>,
+    ) -> Result<T> {
+        self.emit(Event::StageStarted {
+            stage: name.to_owned(),
             items_in,
         });
         let start = Instant::now();
-        match self.run(input, ctx) {
+        match body() {
             Ok(output) => {
-                ctx.emit(Event::StageFinished {
-                    stage: self.name().to_owned(),
+                self.emit(Event::StageFinished {
+                    stage: name.to_owned(),
                     wall_ms: start.elapsed().as_secs_f64() * 1e3,
                     items_in,
-                    items_out: self.items_out(&output),
+                    items_out: items_out(&output),
                 });
                 Ok(output)
             }
             Err(error) => {
-                ctx.emit(Event::StageFailed {
-                    stage: self.name().to_owned(),
+                self.emit(Event::StageFailed {
+                    stage: name.to_owned(),
                     error: error.to_string(),
                 });
                 Err(error)
@@ -370,168 +321,72 @@ pub trait Stage {
     }
 }
 
-/// Two stages run in sequence; built by [`Pipeline::then`]. `execute` is
-/// overridden to instrument each half individually (no synthetic
-/// chain-level events).
-#[derive(Debug)]
-pub struct Chain<A, B> {
-    first: A,
-    second: B,
-}
-
-impl<A, B> Stage for Chain<A, B>
-where
-    A: Stage,
-    B: Stage<In = A::Out>,
-{
-    type In = A::In;
-    type Out = B::Out;
-
-    fn name(&self) -> &'static str {
-        "chain"
-    }
-
-    fn run(&self, input: Self::In, ctx: &mut RunContext) -> StageResult<Self::Out> {
-        let mid = self.first.execute(input, ctx)?;
-        self.second.execute(mid, ctx)
-    }
-
-    fn execute(&self, input: Self::In, ctx: &mut RunContext) -> StageResult<Self::Out> {
-        self.run(input, ctx)
-    }
-}
-
-/// A composed pipeline: a stage (possibly a [`Chain`]) plus the runner
-/// entry point.
-///
-/// ```
-/// use std::sync::Arc;
-/// use spire_core::pipeline::{
-///     BuildStage, CollectingSink, Pipeline, PipelineConfig, RunContext, TrainStage,
-/// };
-/// use spire_core::{Sample, SampleSet};
-///
-/// # fn main() -> Result<(), spire_core::pipeline::StageError> {
-/// let mut set = SampleSet::new();
-/// for i in 1..6 {
-///     set.push(Sample::new("m", 10.0, (5 * i) as f64, (10 - i) as f64)?);
-/// }
-/// let sink = Arc::new(CollectingSink::new());
-/// let mut ctx = RunContext::new(PipelineConfig::default()).with_sink(sink.clone());
-/// let outcome = Pipeline::new(BuildStage)
-///     .then(TrainStage)
-///     .run(vec![("wl".to_owned(), set)], &mut ctx)?;
-/// assert_eq!(outcome.model.metric_count(), 1);
-/// assert!(!sink.events().is_empty());
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct Pipeline<S> {
-    stage: S,
-}
-
-impl<S: Stage> Pipeline<S> {
-    /// Starts a pipeline from one stage.
-    pub fn new(stage: S) -> Self {
-        Pipeline { stage }
-    }
-
-    /// Appends a stage whose input is this pipeline's output.
-    pub fn then<T: Stage<In = S::Out>>(self, next: T) -> Pipeline<Chain<S, T>> {
-        Pipeline {
-            stage: Chain {
-                first: self.stage,
-                second: next,
-            },
-        }
-    }
-
-    /// Runs the composed stages over `input`, threading `ctx` throughout.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first stage error; a `StageFailed` event will have
-    /// been emitted for it.
-    pub fn run(&self, input: S::In, ctx: &mut RunContext) -> StageResult<S::Out> {
-        self.stage.execute(input, ctx)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    struct Doubler;
-    impl Stage for Doubler {
-        type In = Vec<u32>;
-        type Out = Vec<u32>;
-        fn name(&self) -> &'static str {
-            "double"
-        }
-        fn items_in(&self, input: &Vec<u32>) -> Option<usize> {
-            Some(input.len())
-        }
-        fn items_out(&self, output: &Vec<u32>) -> Option<usize> {
-            Some(output.len())
-        }
-        fn run(&self, input: Vec<u32>, _ctx: &mut RunContext) -> StageResult<Vec<u32>> {
-            Ok(input.iter().map(|x| x * 2).collect())
-        }
-    }
+    use crate::SpireError;
 
-    struct Failer;
-    impl Stage for Failer {
-        type In = Vec<u32>;
-        type Out = Vec<u32>;
-        fn name(&self) -> &'static str {
-            "fail"
-        }
-        fn run(&self, _input: Vec<u32>, _ctx: &mut RunContext) -> StageResult<Vec<u32>> {
-            Err("deliberate".into())
-        }
+    fn ctx_with_sink() -> (RunContext, Arc<CollectingSink>) {
+        let sink = Arc::new(CollectingSink::new());
+        let ctx = RunContext::new(PipelineConfig::default()).with_sink(sink.clone());
+        (ctx, sink)
     }
 
     #[test]
-    fn execute_instruments_start_and_finish() {
-        let sink = Arc::new(CollectingSink::new());
-        let mut ctx = RunContext::new(PipelineConfig::default()).with_sink(sink.clone());
-        let out = Pipeline::new(Doubler).run(vec![1, 2, 3], &mut ctx).unwrap();
+    fn stage_instruments_start_and_finish_with_counts() {
+        let (ctx, sink) = ctx_with_sink();
+        let input = [1u32, 2, 3];
+        let out = ctx
+            .stage(
+                "double",
+                Some(input.len()),
+                || {
+                    ctx.note("double", "inside");
+                    Ok(input.iter().map(|x| x * 2).collect::<Vec<_>>())
+                },
+                |out| Some(out.len() + 1),
+            )
+            .unwrap();
         assert_eq!(out, [2, 4, 6]);
         let events = sink.events();
-        assert_eq!(events.len(), 2);
+        assert_eq!(events.len(), 3);
         assert!(matches!(
             &events[0],
             Event::StageStarted { stage, items_in: Some(3) } if stage == "double"
         ));
+        assert!(matches!(&events[1], Event::Note { text, .. } if text == "inside"));
         assert!(matches!(
-            &events[1],
-            Event::StageFinished { stage, items_out: Some(3), .. } if stage == "double"
+            &events[2],
+            Event::StageFinished { stage, wall_ms, items_in: Some(3), items_out: Some(4) }
+                if stage == "double" && *wall_ms >= 0.0
         ));
         assert!(!ctx.degraded());
     }
 
     #[test]
-    fn chained_stages_emit_per_stage_events_and_stop_on_failure() {
-        let sink = Arc::new(CollectingSink::new());
-        let mut ctx = RunContext::new(PipelineConfig::default()).with_sink(sink.clone());
-        let err = Pipeline::new(Doubler)
-            .then(Failer)
-            .then(Doubler)
-            .run(vec![1], &mut ctx)
+    fn failed_stage_emits_stage_failed_and_returns_the_error() {
+        let (ctx, sink) = ctx_with_sink();
+        let err = ctx
+            .stage(
+                "fail",
+                None,
+                || -> Result<()> { Err(SpireError::EmptyWorkload) },
+                |_| unreachable!("no output to count"),
+            )
             .unwrap_err();
-        assert_eq!(err.to_string(), "deliberate");
-        let kinds: Vec<&str> = sink.events().iter().map(Event::kind).collect();
-        assert_eq!(
-            kinds,
-            [
-                "stage_started",
-                "stage_finished",
-                "stage_started",
-                "stage_failed"
-            ],
-            "the third stage must never start"
-        );
+        assert_eq!(err, SpireError::EmptyWorkload);
+        let events = sink.events();
+        assert_eq!(events.len(), 2, "{events:?}");
+        assert!(matches!(
+            &events[0],
+            Event::StageStarted { stage, items_in: None } if stage == "fail"
+        ));
+        assert!(matches!(
+            &events[1],
+            Event::StageFailed { stage, error }
+                if stage == "fail" && *error == SpireError::EmptyWorkload.to_string()
+        ));
     }
 
     #[test]

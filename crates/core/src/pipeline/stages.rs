@@ -1,53 +1,24 @@
-//! Core [`Stage`] implementations: SampleSet assembly, training, snapshot
-//! loading, estimation, and bottleneck analysis. The ingest stage lives in
-//! `spire-counters` (`spire_counters::pipeline::IngestStage`), which
-//! depends on this crate.
+//! The pipeline's steps as plain functions: training, incremental
+//! update, snapshot loading, estimation, and bottleneck analysis. Ingest
+//! and dataset build live in `spire_counters::pipeline`, which depends on
+//! this crate.
 //!
-//! Every stage delegates to the same library entry point its pre-pipeline
-//! caller used, so pipeline outputs are bit-identical to direct API calls;
-//! the stages add only bus events.
+//! Each function takes the run's [`RunContext`] and borrowed inputs,
+//! calls the same library entry point a direct caller would — so its
+//! output is bit-identical to the direct API — and runs it inside
+//! [`RunContext::stage`]. The functions add only bus events.
 
 use crate::analysis::BottleneckReport;
 use crate::catalog::MetricCatalog;
-use crate::ensemble::{SpireModel, TrainOutcome, TrainReport};
+use crate::ensemble::{Estimate, SpireModel, TrainOutcome, TrainReport};
+use crate::machine::MachineSpec;
 use crate::online::{OnlineTrainer, UpdateOutcome};
 use crate::roofline::ThinningNotice;
 use crate::sample::SampleSet;
-use crate::snapshot::load_model;
+use crate::snapshot::{self, SnapshotReport};
+use crate::Result;
 
-use super::{Event, RunContext, Stage, StageResult};
-
-/// Assembles one training [`SampleSet`] from labeled per-workload sets
-/// (the pipeline's `Build` step). The merge order is the input order, so
-/// feeding label-sorted entries (a `Dataset`'s natural iteration order)
-/// reproduces `Dataset::merged` exactly.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BuildStage;
-
-impl Stage for BuildStage {
-    type In = Vec<(String, SampleSet)>;
-    type Out = SampleSet;
-
-    fn name(&self) -> &'static str {
-        "build"
-    }
-
-    fn items_in(&self, input: &Self::In) -> Option<usize> {
-        Some(input.len())
-    }
-
-    fn items_out(&self, output: &Self::Out) -> Option<usize> {
-        Some(output.len())
-    }
-
-    fn run(&self, input: Self::In, _ctx: &mut RunContext) -> StageResult<Self::Out> {
-        let mut merged = SampleSet::new();
-        for (_, set) in &input {
-            merged.extend(set.iter());
-        }
-        Ok(merged)
-    }
-}
+use super::{Event, RunContext};
 
 /// Emits the bus events implied by a finished training run: one
 /// `MetricQuarantined` per quarantined metric, one `FrontThinned` per
@@ -78,200 +49,162 @@ pub fn emit_train_events(report: &TrainReport, notices: &[ThinningNotice], ctx: 
     });
 }
 
-/// Fault-isolated training over the context's
-/// [`TrainConfig`](crate::TrainConfig) and strictness; wraps
-/// [`SpireModel::train_with_report`] and mirrors the resulting
+/// The `train` stage: fault-isolated training over the context's
+/// [`TrainConfig`](crate::TrainConfig) and strictness
+/// ([`SpireModel::train_with_report`]), mirroring the resulting
 /// [`TrainReport`] onto the bus.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TrainStage;
-
-impl Stage for TrainStage {
-    type In = SampleSet;
-    type Out = TrainOutcome;
-
-    fn name(&self) -> &'static str {
-        "train"
-    }
-
-    fn items_in(&self, input: &Self::In) -> Option<usize> {
-        Some(input.len())
-    }
-
-    fn items_out(&self, output: &Self::Out) -> Option<usize> {
-        Some(output.model.metric_count())
-    }
-
-    fn run(&self, input: Self::In, ctx: &mut RunContext) -> StageResult<Self::Out> {
-        let outcome =
-            SpireModel::train_with_report(&input, ctx.config.train.clone(), ctx.config.strictness)?;
-        emit_train_events(&outcome.report, &outcome.fit_notices, ctx);
-        Ok(outcome)
-    }
+///
+/// # Errors
+///
+/// As [`SpireModel::train_with_report`].
+pub fn train(ctx: &RunContext, samples: &SampleSet) -> Result<TrainOutcome> {
+    ctx.stage(
+        "train",
+        Some(samples.len()),
+        || {
+            let outcome = SpireModel::train_with_report(
+                samples,
+                ctx.config.train.clone(),
+                ctx.config.strictness,
+            )?;
+            emit_train_events(&outcome.report, &outcome.fit_notices, ctx);
+            Ok(outcome)
+        },
+        |outcome| Some(outcome.model.metric_count()),
+    )
 }
 
-/// Incremental model maintenance: feeds one sample batch into an
-/// [`OnlineTrainer`] and commits, mirroring the resulting
-/// [`UpdateReport`](crate::UpdateReport) onto the bus — one `ModelRefit`
-/// per refitted metric (`mode` distinguishes full refits from patched
-/// right-region refits), one `ModelUnchanged` per metric whose new
-/// samples were all dominated, plus the usual train events (quarantines,
-/// thinning, budget). The trainer threads through as part of the output
-/// so callers can chain further batches.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UpdateStage;
-
-impl Stage for UpdateStage {
-    type In = (OnlineTrainer, SampleSet);
-    type Out = (OnlineTrainer, UpdateOutcome);
-
-    fn name(&self) -> &'static str {
-        "update"
-    }
-
-    fn items_in(&self, input: &Self::In) -> Option<usize> {
-        Some(input.1.len())
-    }
-
-    fn items_out(&self, output: &Self::Out) -> Option<usize> {
-        output.0.model().map(SpireModel::metric_count)
-    }
-
-    fn run(&self, input: Self::In, ctx: &mut RunContext) -> StageResult<Self::Out> {
-        let (mut trainer, batch) = input;
-        trainer.push_batch(&batch);
-        let outcome = trainer.commit()?;
-        for metric in &outcome.update.refit_full {
-            ctx.emit(Event::ModelRefit {
-                metric: metric.to_string(),
-                mode: "full".to_owned(),
-            });
-        }
-        for metric in &outcome.update.refit_right {
-            ctx.emit(Event::ModelRefit {
-                metric: metric.to_string(),
-                mode: "right".to_owned(),
-            });
-        }
-        for metric in &outcome.update.unchanged {
-            ctx.emit(Event::ModelUnchanged {
-                metric: metric.to_string(),
-            });
-        }
-        emit_train_events(&outcome.report, &outcome.fit_notices, ctx);
-        Ok((trainer, outcome))
-    }
-}
-
-/// Loads a model from snapshot (or legacy raw-model) JSON text in the
-/// context's [`SnapshotMode`](crate::SnapshotMode), mirroring any salvage
-/// onto the bus (`SnapshotSalvaged` plus one `SnapshotRecordDropped` per
-/// dropped record). The caller supplies the text; file I/O stays at the
-/// edges.
-#[derive(Debug, Clone)]
-pub struct LoadModelStage {
-    /// Where the text came from (path or description), for events.
-    pub source: String,
-}
-
-impl Stage for LoadModelStage {
-    type In = String;
-    type Out = SpireModel;
-
-    fn name(&self) -> &'static str {
-        "load-model"
-    }
-
-    fn items_out(&self, output: &Self::Out) -> Option<usize> {
-        Some(output.metric_count())
-    }
-
-    fn run(&self, input: Self::In, ctx: &mut RunContext) -> StageResult<Self::Out> {
-        let (model, report) = load_model(&input, ctx.config.snapshot_mode)?;
-        if let Some(report) = report {
-            if report.is_degraded() {
-                for d in &report.dropped {
-                    ctx.emit(Event::SnapshotRecordDropped {
-                        metric: d.metric.to_string(),
-                        reason: d.reason.clone(),
-                    });
-                }
-                ctx.emit(Event::SnapshotSalvaged {
-                    source: self.source.clone(),
-                    dropped: report.dropped.len(),
-                    total: report.metrics_total,
+/// The `update` stage: feeds one sample batch into `trainer` and commits,
+/// mirroring the resulting [`UpdateReport`](crate::UpdateReport) onto the
+/// bus — one `ModelRefit` per refitted metric (`mode` distinguishes full
+/// refits from patched right-region refits), one `ModelUnchanged` per
+/// metric whose new samples were all dominated, plus the usual train
+/// events (quarantines, thinning, budget).
+///
+/// # Errors
+///
+/// As [`OnlineTrainer::commit`]; a failed commit leaves the trainer's
+/// model untouched.
+pub fn update(
+    ctx: &RunContext,
+    trainer: &mut OnlineTrainer,
+    batch: &SampleSet,
+) -> Result<UpdateOutcome> {
+    ctx.stage(
+        "update",
+        Some(batch.len()),
+        || {
+            trainer.push_batch(batch);
+            let outcome = trainer.commit()?;
+            for metric in &outcome.update.refit_full {
+                ctx.emit(Event::ModelRefit {
+                    metric: metric.to_string(),
+                    mode: "full".to_owned(),
                 });
             }
-        }
-        Ok(model)
-    }
+            for metric in &outcome.update.refit_right {
+                ctx.emit(Event::ModelRefit {
+                    metric: metric.to_string(),
+                    mode: "right".to_owned(),
+                });
+            }
+            for metric in &outcome.update.unchanged {
+                ctx.emit(Event::ModelUnchanged {
+                    metric: metric.to_string(),
+                });
+            }
+            emit_train_events(&outcome.report, &outcome.fit_notices, ctx);
+            Ok((outcome, trainer.model().map(SpireModel::metric_count)))
+        },
+        |(_, metrics)| *metrics,
+    )
+    .map(|(outcome, _)| outcome)
 }
 
-/// Ensemble estimation of one workload under a trained model
-/// ([`SpireModel::estimate`]).
-#[derive(Debug)]
-pub struct EstimateStage<'m> {
-    /// The trained model to estimate under.
-    pub model: &'m SpireModel,
+/// Emits the bus events implied by a salvaged snapshot load: one
+/// `SnapshotRecordDropped` per dropped record, then `SnapshotSalvaged`.
+/// Clean loads emit nothing. `source` names where the text came from.
+pub fn emit_salvage_events(report: &SnapshotReport, source: &str, ctx: &RunContext) {
+    if !report.is_degraded() {
+        return;
+    }
+    for d in &report.dropped {
+        ctx.emit(Event::SnapshotRecordDropped {
+            metric: d.metric.to_string(),
+            reason: d.reason.clone(),
+        });
+    }
+    ctx.emit(Event::SnapshotSalvaged {
+        source: source.to_owned(),
+        dropped: report.dropped.len(),
+        total: report.metrics_total,
+    });
 }
 
-impl Stage for EstimateStage<'_> {
-    type In = SampleSet;
-    type Out = crate::ensemble::Estimate;
-
-    fn name(&self) -> &'static str {
-        "estimate"
-    }
-
-    fn items_in(&self, input: &Self::In) -> Option<usize> {
-        Some(input.len())
-    }
-
-    fn items_out(&self, output: &Self::Out) -> Option<usize> {
-        Some(output.per_metric().len())
-    }
-
-    fn run(&self, input: Self::In, _ctx: &mut RunContext) -> StageResult<Self::Out> {
-        Ok(self.model.estimate(&input)?)
-    }
+/// The `load-model` stage: parses snapshot (or legacy raw-model) JSON `text`
+/// once in the context's [`SnapshotMode`](crate::SnapshotMode)
+/// ([`snapshot::load_model`]) and mirrors any salvage onto the bus
+/// ([`emit_salvage_events`]). Returns the model, its machine tag, and
+/// the load report. The caller supplies the text; file I/O stays at the
+/// edges.
+///
+/// # Errors
+///
+/// As [`snapshot::load_model`].
+pub fn load_model(
+    ctx: &RunContext,
+    source: &str,
+    text: &str,
+) -> Result<(SpireModel, Option<MachineSpec>, Option<SnapshotReport>)> {
+    ctx.stage(
+        "load-model",
+        None,
+        || {
+            let loaded = snapshot::load_model(text, ctx.config.snapshot_mode)?;
+            if let Some(report) = &loaded.2 {
+                emit_salvage_events(report, source, ctx);
+            }
+            Ok(loaded)
+        },
+        |(model, ..)| Some(model.metric_count()),
+    )
 }
 
-/// Ranks an estimate into a [`BottleneckReport`] against a metric catalog.
-#[derive(Debug, Clone)]
-pub struct AnalyzeStage {
-    /// The catalog used to annotate ranked metrics.
-    pub catalog: MetricCatalog,
+/// The `estimate` stage: ensemble estimation of one workload under a trained
+/// model ([`SpireModel::estimate`]).
+///
+/// # Errors
+///
+/// As [`SpireModel::estimate`].
+pub fn estimate(ctx: &RunContext, model: &SpireModel, samples: &SampleSet) -> Result<Estimate> {
+    ctx.stage(
+        "estimate",
+        Some(samples.len()),
+        || model.estimate(samples),
+        |estimate| Some(estimate.per_metric().len()),
+    )
 }
 
-impl Default for AnalyzeStage {
-    fn default() -> Self {
-        AnalyzeStage {
-            catalog: MetricCatalog::table_iii(),
-        }
-    }
-}
-
-impl Stage for AnalyzeStage {
-    type In = crate::ensemble::Estimate;
-    type Out = BottleneckReport;
-
-    fn name(&self) -> &'static str {
-        "analyze"
-    }
-
-    fn items_out(&self, output: &Self::Out) -> Option<usize> {
-        Some(output.rows().len())
-    }
-
-    fn run(&self, input: Self::In, _ctx: &mut RunContext) -> StageResult<Self::Out> {
-        Ok(BottleneckReport::new(&input, &self.catalog))
-    }
+/// The `analyze` stage: ranks an estimate into a [`BottleneckReport`]
+/// annotated from the Table III [`MetricCatalog`].
+///
+/// # Errors
+///
+/// Never fails; the `Result` keeps every step's signature alike.
+pub fn analyze(ctx: &RunContext, estimate: &Estimate) -> Result<BottleneckReport> {
+    ctx.stage(
+        "analyze",
+        None,
+        || Ok(BottleneckReport::new(estimate, &MetricCatalog::table_iii())),
+        |report| Some(report.rows().len()),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
 
-    use super::super::{CollectingSink, Pipeline, PipelineConfig};
+    use super::super::{CollectingSink, PipelineConfig};
     use super::*;
     use crate::ensemble::{TrainConfig, TrainStrictness};
     use crate::error::SpireError;
@@ -289,30 +222,22 @@ mod tests {
         set
     }
 
-    fn ctx_with_sink() -> (super::super::RunContext, Arc<CollectingSink>) {
+    fn ctx_with_sink() -> (RunContext, Arc<CollectingSink>) {
         let sink = Arc::new(CollectingSink::new());
-        let ctx = super::super::RunContext::new(PipelineConfig::default()).with_sink(sink.clone());
+        let ctx = RunContext::new(PipelineConfig::default()).with_sink(sink.clone());
         (ctx, sink)
     }
 
     #[test]
-    fn build_stage_matches_dataset_merge_order() {
-        let (mut ctx, _sink) = ctx_with_sink();
+    fn train_output_is_bit_identical_to_direct_training() {
+        let (ctx, sink) = ctx_with_sink();
         let set = training_set();
-        let merged = BuildStage
-            .execute(vec![("wl".to_owned(), set.clone())], &mut ctx)
-            .unwrap();
-        assert_eq!(merged, set);
-    }
-
-    #[test]
-    fn train_stage_output_is_bit_identical_to_direct_training() {
-        let (mut ctx, _sink) = ctx_with_sink();
-        let set = training_set();
-        let outcome = Pipeline::new(BuildStage)
-            .then(TrainStage)
-            .run(vec![("wl".to_owned(), set.clone())], &mut ctx)
-            .unwrap();
+        let outcome = train(&ctx, &set).unwrap();
+        let kinds: Vec<&str> = sink.events().iter().map(Event::kind).collect();
+        assert_eq!(
+            kinds,
+            ["stage_started", "budget_consumed", "stage_finished"]
+        );
         let direct =
             SpireModel::train_with_report(&set, TrainConfig::default(), TrainStrictness::Lenient)
                 .unwrap();
@@ -406,7 +331,7 @@ mod tests {
     }
 
     #[test]
-    fn load_model_stage_mirrors_salvage_onto_the_bus() {
+    fn load_model_mirrors_salvage_onto_the_bus() {
         let outcome = SpireModel::train_with_report(
             &training_set(),
             TrainConfig::default(),
@@ -417,13 +342,16 @@ mod tests {
         snapshot.metrics[0].checksum = "0000000000000000".to_owned();
         let text = snapshot.to_json();
 
-        let (mut ctx, sink) = ctx_with_sink();
-        let stage = LoadModelStage {
-            source: "test.snapshot.json".to_owned(),
-        };
-        let model = stage.execute(text, &mut ctx).unwrap();
+        let (ctx, sink) = ctx_with_sink();
+        let (model, machine, report) = load_model(&ctx, "test.snapshot.json", &text).unwrap();
         assert_eq!(model.metric_count(), 2);
+        assert_eq!(machine, None);
+        assert_eq!(report.expect("snapshot report").dropped.len(), 1);
         let events = sink.events();
+        assert!(matches!(
+            events.last(),
+            Some(Event::StageFinished { stage, items_out: Some(2), .. }) if stage == "load-model"
+        ));
         assert!(events.iter().any(|e| matches!(
             e,
             Event::SnapshotRecordDropped { metric, .. } if metric == "m_alpha"
@@ -440,9 +368,10 @@ mod tests {
     }
 
     #[test]
-    fn update_stage_emits_refit_and_unchanged_events() {
-        let (mut ctx, sink) = ctx_with_sink();
-        let trainer = OnlineTrainer::new(TrainConfig::default(), TrainStrictness::Lenient).unwrap();
+    fn update_emits_refit_and_unchanged_events() {
+        let (ctx, sink) = ctx_with_sink();
+        let mut trainer =
+            OnlineTrainer::new(TrainConfig::default(), TrainStrictness::Lenient).unwrap();
 
         // First batch: a metric with a multi-point Pareto front right of
         // the apex. Everything is a full refit (no prior model).
@@ -450,7 +379,7 @@ mod tests {
         for (w, m) in [(10.0, 10.0), (40.0, 10.0), (60.0, 6.0), (30.0, 1.0)] {
             seed.push(Sample::new("m_front", 10.0, w, m).unwrap());
         }
-        let (trainer, outcome) = UpdateStage.execute((trainer, seed), &mut ctx).unwrap();
+        let outcome = update(&ctx, &mut trainer, &seed).unwrap();
         assert_eq!(outcome.update.refit_full.len(), 1);
         assert!(
             sink.events().iter().any(|e| matches!(
@@ -465,7 +394,7 @@ mod tests {
         // front — an exact no-op, so the model is untouched.
         let mut dominated = SampleSet::new();
         dominated.push(Sample::new("m_front", 10.0, 20.0, 1.0).unwrap());
-        let (_trainer, outcome) = UpdateStage.execute((trainer, dominated), &mut ctx).unwrap();
+        let outcome = update(&ctx, &mut trainer, &dominated).unwrap();
         assert!(outcome.update.refit_full.is_empty());
         assert!(outcome.update.refit_right.is_empty());
         assert_eq!(outcome.update.unchanged.len(), 1);
@@ -481,9 +410,10 @@ mod tests {
     }
 
     #[test]
-    fn update_stage_result_matches_batch_training() {
-        let (mut ctx, _sink) = ctx_with_sink();
-        let trainer = OnlineTrainer::new(TrainConfig::default(), TrainStrictness::Lenient).unwrap();
+    fn update_result_matches_batch_training() {
+        let (ctx, _sink) = ctx_with_sink();
+        let mut trainer =
+            OnlineTrainer::new(TrainConfig::default(), TrainStrictness::Lenient).unwrap();
         let set = training_set();
         let (half_a, half_b): (Vec<_>, Vec<_>) =
             set.iter().enumerate().partition(|(i, _)| i % 2 == 0);
@@ -496,8 +426,8 @@ mod tests {
         concatenated.extend(batch_a.iter());
         concatenated.extend(batch_b.iter());
 
-        let (trainer, _) = UpdateStage.execute((trainer, batch_a), &mut ctx).unwrap();
-        let (trainer, _) = UpdateStage.execute((trainer, batch_b), &mut ctx).unwrap();
+        update(&ctx, &mut trainer, &batch_a).unwrap();
+        update(&ctx, &mut trainer, &batch_b).unwrap();
         let direct = SpireModel::train_with_report(
             &concatenated,
             TrainConfig::default(),
@@ -508,14 +438,16 @@ mod tests {
     }
 
     #[test]
-    fn estimate_and_analyze_stages_match_direct_calls() {
+    fn estimate_and_analyze_match_direct_calls() {
         let set = training_set();
         let model = SpireModel::train(&set, TrainConfig::default()).unwrap();
-        let (mut ctx, _sink) = ctx_with_sink();
-        let report = Pipeline::new(EstimateStage { model: &model })
-            .then(AnalyzeStage::default())
-            .run(set.clone(), &mut ctx)
-            .unwrap();
+        let (ctx, sink) = ctx_with_sink();
+        let report = analyze(&ctx, &estimate(&ctx, &model, &set).unwrap()).unwrap();
+        assert!(matches!(
+            &sink.events()[1],
+            Event::StageFinished { stage, items_in: Some(15), items_out: Some(3), .. }
+                if stage == "estimate"
+        ));
         let direct =
             BottleneckReport::new(&model.estimate(&set).unwrap(), &MetricCatalog::table_iii());
         assert_eq!(report, direct);

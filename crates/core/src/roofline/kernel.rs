@@ -18,7 +18,7 @@
 //!
 //! Every output is bit-identical to the scalar
 //! [`estimate`](super::PiecewiseRoofline::estimate) on the same input —
-//! including NaN propagation and region-boundary precedence. The fast
+//! including NaN handling and region-boundary precedence. The fast
 //! paths earn this by construction, not by tolerance:
 //!
 //! * Constant regions (`0.0`, plateau, tail) are selected per lane by the
@@ -35,6 +35,9 @@
 //! * Lanes at or beyond an end knot get `piecewise_eval`'s early-return
 //!   knot heights through final selects on the same comparisons, and
 //!   strictly increasing knots rule out its duplicate-`x` branch.
+//! * A NaN intensity joins no interpolation list and gets `f64::NAN`
+//!   from the constant select, as scalar `RightRegion::eval` does: the
+//!   input's sign and payload never reach the output.
 //!
 //! The contract is pinned by the `estimate_soa_matches_per_sample_*`
 //! tests in [`super`] and the chunk-offset/NaN proptests in
@@ -96,14 +99,13 @@ pub(super) fn estimate_into(left: &[Point], right: &RightRegion, xs: &[f64], out
 ///
 /// Bit-identity per lane, mirroring the scalar chain's precedence:
 /// a lane joins the left list on exactly the scalar `x > 0 && x <
-/// apex.x` test, and the right list on the negation of every earlier
-/// branch in the chain (`!(x <= 0) & !(x < apex.x) & !(x < first.x) &
-/// !(x > last.x)`). A NaN lane fails every ordered comparison, so all
-/// four negations hold and it lands in the right list, where the
-/// interpolation propagates it with payload intact — the same
-/// first-segment fall-through the scalar chain takes. The constant
-/// pass writes plateau/tail into lanes the lists later overwrite; only
-/// uncontested lanes keep those constants.
+/// apex.x` test, and the right list on the scalar chain's span test
+/// (`x > 0 && x >= apex.x && x >= first.x && x <= last.x`). A NaN lane
+/// fails every ordered comparison, so it joins neither list and falls
+/// through the constant select to `f64::NAN` — the canonical NaN scalar
+/// [`RightRegion::eval`] returns, whatever the input's sign or payload.
+/// The constant pass writes its fall-through NaN into every span lane
+/// too; the lists overwrite those, so only NaN lanes keep it.
 fn eval_compacted(
     left: &[Point],
     right: &RightRegion,
@@ -120,27 +122,25 @@ fn eval_compacted(
     let (mut n_l, mut n_r) = (0usize, 0usize);
     for (j, &x) in chunk.iter().enumerate() {
         // `&` instead of `&&`: no short-circuit branch on a
-        // data-dependent predicate. The negated comparisons are
-        // NaN-aware on purpose (`!(x <= 0.0)` is true for NaN where
-        // `x > 0.0` is not), so a NaN lane joins the right list, whose
-        // interpolation propagates it.
+        // data-dependent predicate.
         let in_left = (x > 0.0) & (x < apex.x);
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        let in_right = !(x <= 0.0) & !(x < apex.x) & !(x < first.x) & !(x > last.x);
+        let in_right = (x > 0.0) & (x >= apex.x) & (x >= first.x) & (x <= last.x);
         idx_l[n_l] = j as u32;
         n_l += usize::from(in_left);
         idx_r[n_r] = j as u32;
         n_r += usize::from(in_right);
         // Constant regions inline; interpolated lanes get a
         // placeholder the region loops overwrite. The select is a
-        // pair of cmovs, and writing to the stack buffer instead of
+        // chain of cmovs, and writing to the stack buffer instead of
         // pushing skips a capacity check per lane.
         buf[j] = if x <= 0.0 {
             0.0
         } else if x < first.x {
             right.plateau
-        } else {
+        } else if x > last.x {
             right.tail
+        } else {
+            f64::NAN
         };
     }
     if n_l == chunk.len() {
@@ -179,9 +179,8 @@ fn strictly_increasing(knots: &[Point]) -> bool {
 /// it lands on the same segment; the interpolation is the same expression
 /// in the same operation order; and the end-knot early returns become
 /// final selects on the same comparisons. Strictly-increasing `x`s rule
-/// out the duplicate-`x` (`b.x == a.x`) scalar branch, and a NaN `x`
-/// fails every ordered comparison on both paths, yielding the same
-/// NaN-propagating interpolation over the first segment.
+/// out the duplicate-`x` (`b.x == a.x`) scalar branch. NaN lanes never
+/// reach it.
 #[inline]
 fn eval_knots_strict(knots: &[Point], x: f64) -> f64 {
     debug_assert!(strictly_increasing(knots));
@@ -211,9 +210,6 @@ fn eval_knots_strict(knots: &[Point], x: f64) -> f64 {
 /// constants; otherwise count segments with [`eval_counted`].
 #[inline]
 fn eval_segmented(knots: &[Point], chunk: &[f64], out: &mut Vec<f64>) {
-    // `f64::min`/`max` skip NaN lanes, so the bounds describe the other
-    // lanes only; a NaN lane (possible only in a right-list chunk)
-    // propagates through whichever interpolation those lanes select.
     let (mut mn, mut mx) = (f64::INFINITY, f64::NEG_INFINITY);
     for &x in chunk {
         mn = mn.min(x);
@@ -234,9 +230,7 @@ fn eval_segmented(knots: &[Point], chunk: &[f64], out: &mut Vec<f64>) {
 }
 
 /// Multi-segment chunk evaluation by counting scan, for strictly
-/// increasing knots. (A NaN lane counts zero, interpolates over the
-/// first segment, and fails both end selects — the scalar NaN
-/// fall-through exactly.) The segment index is
+/// increasing knots and NaN-free chunks. The segment index is
 /// `#{i >= 1 : knots[i].x <= x}`, which for
 /// strictly increasing `x`s equals the binary-search index — but the
 /// count is data-independent straight-line code the compiler vectorizes

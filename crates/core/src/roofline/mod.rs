@@ -1126,6 +1126,20 @@ mod tests {
         xs.extend((0..=RUN).map(|i| first.x + (last.x - first.x) * i as f64 / RUN as f64));
         xs.extend(std::iter::repeat_n(last.x + 5.0, RUN));
         xs.extend(std::iter::repeat_n(f64::NAN, RUN));
+        // NaNs whose bits differ from `f64::NAN`: the sign bit set, a
+        // quiet NaN with a payload, and a signalling bit pattern. Scalar
+        // `estimate` answers `f64::NAN` for each, so the kernel must too,
+        // in pure NaN chunks and in chunks mixed with span lanes.
+        for nan in [
+            -f64::NAN,
+            f64::from_bits(0x7ff8_0000_0000_beef),
+            f64::from_bits(0x7ff0_0000_0000_0001),
+        ] {
+            assert!(nan.is_nan() && nan.to_bits() != f64::NAN.to_bits());
+            xs.extend(std::iter::repeat_n(nan, RUN));
+            let mid = (first.x + last.x) * 0.5;
+            xs.extend((0..RUN).map(|i| if i % 2 == 0 { nan } else { mid }));
+        }
         xs.extend(samples.iter().map(Sample::intensity));
         assert_soa_matches_scalar(&r, &xs);
     }

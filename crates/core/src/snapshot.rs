@@ -31,7 +31,7 @@ use crate::ensemble::{TrainConfig, TrainReport};
 use crate::error::{Result, SpireError};
 use crate::roofline::PiecewiseRoofline;
 use crate::sample::MetricId;
-use crate::SpireModel;
+use crate::{MachineSpec, SpireModel};
 
 /// The snapshot format version this build writes and the newest it reads.
 pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
@@ -602,8 +602,10 @@ pub fn write_atomic_bytes(path: &std::path::Path, contents: &[u8]) -> std::io::R
 /// `train --out` writes, sniffing the format by attempting the snapshot
 /// container first.
 ///
-/// Returns the model and, for snapshots, the load report (`None` for
-/// legacy models, which carry no integrity information).
+/// Returns the model, the machine its training data came from (when the
+/// snapshot's provenance recorded one), and, for snapshots, the load
+/// report. Legacy models carry neither a machine nor integrity
+/// information, so both are `None` for them.
 ///
 /// # Errors
 ///
@@ -613,11 +615,15 @@ pub fn write_atomic_bytes(path: &std::path::Path, contents: &[u8]) -> std::io::R
 /// per-metric (strict: any violation fails; lenient: violations are
 /// reported but legacy models carry no per-record boundary, so the model
 /// is refused only if every metric is invalid).
-pub fn load_model(text: &str, mode: SnapshotMode) -> Result<(SpireModel, Option<SnapshotReport>)> {
+pub fn load_model(
+    text: &str,
+    mode: SnapshotMode,
+) -> Result<(SpireModel, Option<MachineSpec>, Option<SnapshotReport>)> {
     match ModelSnapshot::from_json(text) {
         Ok(snapshot) => {
+            let machine = snapshot.machine().cloned();
             let loaded = snapshot.into_model(mode)?;
-            return Ok((loaded.model, Some(loaded.report)));
+            return Ok((loaded.model, machine, Some(loaded.report)));
         }
         Err(SpireError::SnapshotFormat { reason })
             if text.contains("\"format_version\"") || text.contains("\"checksum_algorithm\"") =>
@@ -638,7 +644,7 @@ pub fn load_model(text: &str, mode: SnapshotMode) -> Result<(SpireModel, Option<
             Err(_) => {}
         }
     }
-    Ok((model, None))
+    Ok((model, None, None))
 }
 
 #[cfg(test)]
@@ -774,7 +780,7 @@ mod tests {
     fn load_model_accepts_legacy_raw_model_json() {
         let model = trained();
         let legacy = serde_json::to_string(&model).unwrap();
-        let (loaded, report) = load_model(&legacy, SnapshotMode::Strict).unwrap();
+        let (loaded, _, report) = load_model(&legacy, SnapshotMode::Strict).unwrap();
         assert_eq!(loaded, model);
         assert!(report.is_none());
     }
@@ -783,7 +789,7 @@ mod tests {
     fn load_model_accepts_snapshot_json() {
         let model = trained();
         let json = ModelSnapshot::from_model(&model).unwrap().to_json();
-        let (loaded, report) = load_model(&json, SnapshotMode::Lenient).unwrap();
+        let (loaded, _, report) = load_model(&json, SnapshotMode::Lenient).unwrap();
         assert_eq!(loaded, model);
         assert!(!report.unwrap().is_degraded());
     }
@@ -1028,7 +1034,7 @@ mod tests {
             wl.push(Sample::new("metric_2", 10.0, (4 * i) as f64, 3.0).unwrap());
         }
         let json = ModelSnapshot::from_model(&model).unwrap().to_json();
-        let (loaded, _) = load_model(&json, SnapshotMode::Strict).unwrap();
+        let (loaded, _, _) = load_model(&json, SnapshotMode::Strict).unwrap();
         let a = model.estimate(&wl).unwrap();
         let b = loaded.estimate(&wl).unwrap();
         assert_eq!(a.throughput().to_bits(), b.throughput().to_bits());

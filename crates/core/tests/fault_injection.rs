@@ -218,7 +218,7 @@ fn container_level_digit_flips_never_panic() {
         // Any outcome is acceptable except a panic: pristine load (the
         // flip hit insignificant text), salvage, or a typed refusal.
         match load_model(&damaged, SnapshotMode::Lenient) {
-            Ok((model, _)) => assert!(model.metric_count() >= 1),
+            Ok((model, ..)) => assert!(model.metric_count() >= 1),
             Err(e) => {
                 let _ = e.to_string();
             }
@@ -256,7 +256,7 @@ fn zero_time_workload_fails_typed_through_the_snapshot_path() {
         };
         let model = SpireModel::train(&clean_corpus(2), config).unwrap();
         let json = ModelSnapshot::from_model(&model).unwrap().to_json();
-        let (loaded, _) = load_model(&json, SnapshotMode::Strict).unwrap();
+        let (loaded, ..) = load_model(&json, SnapshotMode::Strict).unwrap();
         let mut wl = SampleSet::new();
         wl.push_unchecked(MetricId::new("metric_00"), 0.0, 1.0, 1.0);
         match loaded.estimate(&wl).unwrap_err() {

@@ -439,7 +439,7 @@ proptest! {
         let probe_set: SampleSet = probe_rows.iter().cloned().collect();
         let model = SpireModel::train(&train_set, TrainConfig::default()).unwrap();
         let json = spire_core::ModelSnapshot::from_model(&model).unwrap().to_json();
-        let (loaded, report) =
+        let (loaded, _, report) =
             spire_core::snapshot::load_model(&json, spire_core::SnapshotMode::Strict).unwrap();
         prop_assert!(!report.unwrap().is_degraded());
         prop_assert_eq!(&model, &loaded);

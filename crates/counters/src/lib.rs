@@ -54,7 +54,6 @@ pub use ingest::{
     ingest_perf_csv, EventCoverage, Ingest, IngestConfig, IngestReport, QuarantineReason,
     QuarantinedRow,
 };
-pub use pipeline::IngestStage;
 pub use proc::{run_capture, Capture, CaptureConfig, CaptureOutcome};
 pub use schedule::MultiplexSchedule;
 pub use session::{collect, collect_batched, SessionConfig, SessionReport};

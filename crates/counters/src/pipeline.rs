@@ -1,28 +1,19 @@
-//! The counters crate's adapter onto the `spire_core::pipeline` engine:
-//! an [`IngestStage`] that parses `perf stat -I -x,` text under the run's
-//! [`IngestSettings`](spire_core::pipeline::IngestSettings) and mirrors
-//! its [`IngestReport`] onto the diagnostics bus as typed events.
+//! The counters crate's pipeline steps, instrumented through
+//! [`RunContext::stage`]: [`ingest`] parses `perf stat -I -x,` text under
+//! an [`IngestConfig`] and mirrors its [`IngestReport`] onto the
+//! diagnostics bus as typed events, and [`build`] merges a [`Dataset`]
+//! into the one training set.
 
-use spire_core::pipeline::{Event, RunContext, Stage, StageResult};
-use spire_core::{SpireError, TrainStrictness};
+use spire_core::pipeline::{Event, RunContext};
+use spire_core::{SampleSet, SpireError, TrainStrictness};
 
+use crate::dataset::Dataset;
 use crate::ingest::{ingest_perf_csv, Ingest, IngestConfig, IngestReport};
-
-/// Converts the core-side ingest knobs into this crate's [`IngestConfig`]
-/// (work/time events and detail caps keep their defaults).
-pub fn ingest_config_from(settings: &spire_core::pipeline::IngestSettings) -> IngestConfig {
-    IngestConfig {
-        min_running_frac: settings.min_running_frac,
-        error_budget: settings.error_budget,
-        scale_multiplexed: settings.scale_multiplexed,
-        ..IngestConfig::default()
-    }
-}
 
 /// Emits the bus events implied by a finished ingest: one
 /// `RowsQuarantined` per quarantine reason, a `CaptureDegraded` when the
 /// supervision layer flagged the capture, and a `BudgetConsumed` summary.
-/// Public so callers that ingest outside the stage (the proc supervisor)
+/// Public so callers that ingest outside [`ingest`] (the proc supervisor)
 /// can mirror their reports too.
 pub fn emit_ingest_events(label: &str, report: &IngestReport, ctx: &RunContext) {
     for (reason, rows) in &report.quarantined_by_reason {
@@ -48,51 +39,58 @@ pub fn emit_ingest_events(label: &str, report: &IngestReport, ctx: &RunContext) 
     });
 }
 
-/// Fault-tolerant `perf stat` CSV ingest as a pipeline stage.
+/// The `ingest` stage: fault-tolerant `perf stat` CSV ingest of `text` (file
+/// I/O stays at the edges) into the full [`Ingest`] (samples + report),
+/// with the samples to be stored under `label` (used in events).
 ///
-/// Input is the raw CSV text (file I/O stays at the edges); output is the
-/// full [`Ingest`] (samples + report) so callers keep the provenance. The
-/// stage is lenient by default; under
-/// [`TrainStrictness::Strict`] it fails with
-/// [`SpireError::ErrorBudgetExceeded`] when quarantined rows exceed the
-/// configured budget, exactly like `spire ingest --strict`.
-#[derive(Debug, Clone)]
-pub struct IngestStage {
-    /// Dataset label the samples will be stored under (used in events).
-    pub label: String,
+/// Lenient runs keep whatever parsed; under [`TrainStrictness::Strict`]
+/// the step fails with [`SpireError::ErrorBudgetExceeded`] when
+/// quarantined rows exceed the configured budget, after emitting the
+/// ingest events.
+///
+/// # Errors
+///
+/// [`SpireError::InvalidConfig`] for an out-of-domain `config`, and the
+/// strict budget refusal above.
+pub fn ingest(
+    ctx: &RunContext,
+    label: &str,
+    text: &str,
+    config: &IngestConfig,
+) -> spire_core::Result<Ingest> {
+    ctx.stage(
+        "ingest",
+        Some(text.lines().count()),
+        || {
+            config.validate()?;
+            let out = ingest_perf_csv(text, config);
+            emit_ingest_events(label, &out.report, ctx);
+            if ctx.config.strictness == TrainStrictness::Strict && out.report.budget_exceeded() {
+                return Err(SpireError::ErrorBudgetExceeded {
+                    quarantined: out.report.rows_quarantined,
+                    total: out.report.rows_seen,
+                    budget: out.report.error_budget,
+                });
+            }
+            Ok(out)
+        },
+        |out| Some(out.samples.len()),
+    )
 }
 
-impl Stage for IngestStage {
-    type In = String;
-    type Out = Ingest;
-
-    fn name(&self) -> &'static str {
-        "ingest"
-    }
-
-    fn items_in(&self, input: &Self::In) -> Option<usize> {
-        Some(input.lines().count())
-    }
-
-    fn items_out(&self, output: &Self::Out) -> Option<usize> {
-        Some(output.samples.len())
-    }
-
-    fn run(&self, input: Self::In, ctx: &mut RunContext) -> StageResult<Self::Out> {
-        let config = ingest_config_from(&ctx.config.ingest);
-        config.validate()?;
-        let out = ingest_perf_csv(&input, &config);
-        emit_ingest_events(&self.label, &out.report, ctx);
-        if ctx.config.strictness == TrainStrictness::Strict && out.report.budget_exceeded() {
-            return Err(SpireError::ErrorBudgetExceeded {
-                quarantined: out.report.rows_quarantined,
-                total: out.report.rows_seen,
-                budget: out.report.error_budget,
-            }
-            .into());
-        }
-        Ok(out)
-    }
+/// The `build` stage: merges every workload of `dataset`, in label order,
+/// into one training set ([`Dataset::merged`]).
+///
+/// # Errors
+///
+/// Never fails; the `Result` keeps every step's signature alike.
+pub fn build(ctx: &RunContext, dataset: &Dataset) -> spire_core::Result<SampleSet> {
+    ctx.stage(
+        "build",
+        Some(dataset.len()),
+        || Ok(dataset.merged()),
+        |merged| Some(merged.len()),
+    )
 }
 
 #[cfg(test)]
@@ -100,6 +98,7 @@ mod tests {
     use std::sync::Arc;
 
     use spire_core::pipeline::{CollectingSink, PipelineConfig};
+    use spire_core::Sample;
 
     use super::*;
 
@@ -120,11 +119,8 @@ mod tests {
 
     #[test]
     fn quarantined_rows_surface_as_typed_events() {
-        let (mut ctx, sink) = ctx_with_sink(TrainStrictness::Lenient);
-        let stage = IngestStage {
-            label: "mux".to_owned(),
-        };
-        let out = stage.execute(MIXED_CSV.to_owned(), &mut ctx).unwrap();
+        let (ctx, sink) = ctx_with_sink(TrainStrictness::Lenient);
+        let out = ingest(&ctx, "mux", MIXED_CSV, &IngestConfig::default()).unwrap();
         assert_eq!(out.samples.len(), 1);
         assert_eq!(out.report.rows_quarantined, 1);
         let events = sink.events();
@@ -150,13 +146,14 @@ mod tests {
 
     #[test]
     fn strict_ingest_fails_over_budget_after_emitting_events() {
-        let (mut ctx, sink) = ctx_with_sink(TrainStrictness::Strict);
-        let stage = IngestStage {
-            label: "junk".to_owned(),
-        };
-        let err = stage
-            .execute("junk\nmore junk\nstill junk\n".to_owned(), &mut ctx)
-            .unwrap_err();
+        let (ctx, sink) = ctx_with_sink(TrainStrictness::Strict);
+        let err = ingest(
+            &ctx,
+            "junk",
+            "junk\nmore junk\nstill junk\n",
+            &IngestConfig::default(),
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("error budget"), "{err}");
         let events = sink.events();
         assert!(events
@@ -172,18 +169,33 @@ mod tests {
 
     #[test]
     fn clean_ingest_emits_no_degrading_events() {
-        let (mut ctx, sink) = ctx_with_sink(TrainStrictness::Lenient);
-        let stage = IngestStage {
-            label: "clean".to_owned(),
-        };
+        let (ctx, sink) = ctx_with_sink(TrainStrictness::Lenient);
         let clean = "1.0,100,,inst_retired.any,1,100,,\n\
              1.0,50,,cpu_clk_unhalted.thread,1,100,,\n\
              1.0,7,,longest_lat_cache.miss,1,100,,\n";
-        stage.execute(clean.to_owned(), &mut ctx).unwrap();
+        ingest(&ctx, "clean", clean, &IngestConfig::default()).unwrap();
         assert!(!ctx.degraded());
         assert!(sink
             .events()
             .iter()
             .all(|e| !matches!(e, Event::RowsQuarantined { .. })));
+    }
+
+    #[test]
+    fn build_merges_in_label_order_under_a_build_stage() {
+        let (ctx, sink) = ctx_with_sink(TrainStrictness::Lenient);
+        let mut dataset = Dataset::new();
+        for (label, metric) in [("b", "m_beta"), ("a", "m_alpha")] {
+            let mut set = SampleSet::new();
+            set.push(Sample::new(metric, 10.0, 5.0, 2.0).unwrap());
+            dataset.insert(label, set);
+        }
+        assert_eq!(build(&ctx, &dataset).unwrap(), dataset.merged());
+        let events = sink.events();
+        assert!(matches!(
+            &events[1],
+            Event::StageFinished { stage, items_in: Some(2), items_out: Some(2), .. }
+                if stage == "build"
+        ));
     }
 }

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, RwLock};
 
-use spire_core::pipeline::{Event, RunContext};
+use spire_core::pipeline::{emit_salvage_events, Event, RunContext};
 use spire_core::snapshot::{load_model, ModelSnapshot};
 use spire_core::{BottleneckReport, MachineSpec, SpireModel};
 
@@ -130,37 +130,21 @@ pub struct ModelRegistry {
 }
 
 /// Loads one snapshot file into an entry, mirroring salvage decisions
-/// onto the context's bus (the same events `LoadModelStage` emits).
+/// onto the context's bus with the pipeline's [`emit_salvage_events`]
+/// (no stage events: a daemon load is not a pipeline stage).
 fn load_entry(name: &str, path: &Path, ctx: &RunContext) -> Result<(ModelEntry, bool), ServeError> {
     let text = std::fs::read_to_string(path).map_err(|e| {
         ServeError::Protocol(format!("cannot read snapshot {}: {e}", path.display()))
     })?;
-    let (model, report) = load_model(&text, ctx.config.snapshot_mode)
+    let (model, machine, report) = load_model(&text, ctx.config.snapshot_mode)
         .map_err(|e| ServeError::Protocol(format!("cannot load model {name}: {e}")))?;
-    let mut salvaged = false;
-    if let Some(report) = report {
-        if report.is_degraded() {
-            salvaged = true;
-            for d in &report.dropped {
-                ctx.emit(Event::SnapshotRecordDropped {
-                    metric: d.metric.to_string(),
-                    reason: d.reason.clone(),
-                });
-            }
-            ctx.emit(Event::SnapshotSalvaged {
-                source: path.display().to_string(),
-                dropped: report.dropped.len(),
-                total: report.metrics_total,
-            });
-        }
+    let salvaged = report.as_ref().is_some_and(|r| r.is_degraded());
+    if let Some(report) = &report {
+        emit_salvage_events(report, &path.display().to_string(), ctx);
     }
     let fingerprint = ModelSnapshot::from_model(&model)
         .map_err(|e| ServeError::Protocol(format!("cannot fingerprint model {name}: {e}")))?
         .fingerprint();
-    // Raw model JSON (no snapshot container) simply has no machine tag.
-    let machine = ModelSnapshot::from_json(&text)
-        .ok()
-        .and_then(|s| s.machine().cloned());
     Ok((
         ModelEntry {
             model,

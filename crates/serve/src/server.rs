@@ -58,7 +58,7 @@ pub struct ServerConfig {
     pub max_frame: usize,
     /// Maximum requests coalesced into one worker batch.
     pub max_batch: usize,
-    /// Pipeline configuration (snapshot mode, estimate threads, …).
+    /// Run configuration (snapshot mode, estimate threads, …).
     pub pipeline: PipelineConfig,
     /// Write-ahead-journal settings; `None` disables `update` requests
     /// (never applied volatile — durability is the point of the path).

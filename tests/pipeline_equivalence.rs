@@ -1,17 +1,17 @@
-//! Locks the pipeline engine's bit-identical guarantee: models,
-//! snapshots, estimates, and bottleneck rankings produced through
-//! `spire_core::pipeline` stages are byte-for-byte equal to the same
-//! artifacts produced by direct library calls — at both `--threads 1`
-//! (serial) and `--threads 0` (auto parallel).
+//! Locks the pipeline's bit-identical guarantee: models, snapshots,
+//! estimates, and bottleneck rankings produced through the instrumented
+//! `spire_core::pipeline` / `spire_counters::pipeline` steps are
+//! byte-for-byte equal to the same artifacts produced by direct library
+//! calls — at both `--threads 1` (serial) and `--threads 0` (auto
+//! parallel).
 
 use spire_core::catalog::MetricCatalog;
-use spire_core::pipeline::{
-    AnalyzeStage, BuildStage, EstimateStage, Pipeline, PipelineConfig, RunContext, Stage,
-    TrainStage,
-};
+use spire_core::pipeline::{analyze, estimate, train, PipelineConfig, RunContext};
 use spire_core::{
-    BottleneckReport, ModelSnapshot, Sample, SampleSet, SpireModel, TrainConfig, TrainStrictness,
+    BottleneckReport, ModelSnapshot, Sample, SampleSet, SpireModel, TrainConfig, TrainOutcome,
+    TrainStrictness,
 };
+use spire_counters::pipeline::build;
 use spire_counters::Dataset;
 
 /// A deterministic multi-workload, multi-metric dataset with enough
@@ -35,11 +35,13 @@ fn fixture_dataset() -> Dataset {
     ds
 }
 
-fn labeled_sets(dataset: &Dataset) -> Vec<(String, SampleSet)> {
-    dataset
-        .iter()
-        .map(|(label, set)| (label.to_owned(), set.clone()))
-        .collect()
+/// The `build` → `train` steps over `dataset` under `config`.
+fn build_and_train(dataset: &Dataset, config: TrainConfig) -> TrainOutcome {
+    let ctx = RunContext::new(PipelineConfig {
+        train: config,
+        ..PipelineConfig::default()
+    });
+    train(&ctx, &build(&ctx, dataset).unwrap()).unwrap()
 }
 
 #[test]
@@ -63,24 +65,12 @@ fn pipeline_artifacts_are_bit_identical_to_direct_api() {
         let direct_estimate = direct.model.estimate(samples).unwrap();
         let direct_report = BottleneckReport::new(&direct_estimate, &MetricCatalog::table_iii());
 
-        // Pipeline path: Build -> Train, then Estimate -> Analyze.
-        let mut ctx = RunContext::new(PipelineConfig {
-            train: config,
-            ..PipelineConfig::default()
-        });
-        let outcome = Pipeline::new(BuildStage)
-            .then(TrainStage)
-            .run(labeled_sets(&dataset), &mut ctx)
-            .unwrap();
+        // Through the steps: build -> train, then estimate -> analyze.
+        let outcome = build_and_train(&dataset, config);
         let pipe_snapshot = ModelSnapshot::from_model(&outcome.model).unwrap().to_json();
-        let pipe_estimate = EstimateStage {
-            model: &outcome.model,
-        }
-        .execute(samples.clone(), &mut ctx)
-        .unwrap();
-        let pipe_report = AnalyzeStage::default()
-            .execute(pipe_estimate.clone(), &mut ctx)
-            .unwrap();
+        let ctx = RunContext::new(PipelineConfig::default());
+        let pipe_estimate = estimate(&ctx, &outcome.model, samples).unwrap();
+        let pipe_report = analyze(&ctx, &pipe_estimate).unwrap();
 
         // Serialized artifacts must match byte for byte.
         assert_eq!(
@@ -181,17 +171,13 @@ fn serial_and_parallel_training_agree_through_the_pipeline() {
     let dataset = fixture_dataset();
     let mut models = Vec::new();
     for threads in [1usize, 0] {
-        let mut ctx = RunContext::new(PipelineConfig {
-            train: TrainConfig {
+        let mut outcome = build_and_train(
+            &dataset,
+            TrainConfig {
                 threads,
                 ..TrainConfig::default()
             },
-            ..PipelineConfig::default()
-        });
-        let mut outcome = Pipeline::new(BuildStage)
-            .then(TrainStage)
-            .run(labeled_sets(&dataset), &mut ctx)
-            .unwrap();
+        );
         // The model records the thread setting it was trained with;
         // normalize it so the comparison covers the learned rooflines.
         outcome.model.set_threads(1);
