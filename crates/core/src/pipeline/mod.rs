@@ -36,9 +36,10 @@ pub use stages::{
     analyze, emit_salvage_events, emit_train_events, estimate, load_model, train, update,
 };
 
-/// The one configuration object a pipeline run carries: a superset of
-/// [`TrainConfig`] / [`crate::FitOptions`] (via `train.fit`) plus run-wide
-/// policy (strictness, snapshot handling) and the determinism seed.
+/// The one configuration object a pipeline run carries: the
+/// [`TrainConfig`] (with [`crate::FitOptions`] in `train.fit`) plus
+/// run-wide policy (strictness, snapshot handling) and the determinism
+/// seed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
     /// Training configuration (includes fit options and thread count).

@@ -520,3 +520,40 @@ fn machine_tags_flow_through_responses_and_gate_updates() {
     let _ = handle.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn salvaged_loads_emit_salvage_events_and_no_stage_events() {
+    // A daemon load mirrors salvage onto the bus with the same events the
+    // CLI's `load-model` stage emits, but is not itself a stage: the
+    // `--events` stream carries no `stage_*` events for it.
+    let dir = temp_dir("salvage-events");
+    let path = dir.join("model.json");
+    let mut snapshot = ModelSnapshot::from_model(&train(1.0)).unwrap();
+    snapshot.metrics[0].checksum = "0000000000000000".to_owned();
+    write_atomic(&path, &snapshot.to_json()).unwrap();
+
+    let sink = Arc::new(CollectingSink::new());
+    let ctx =
+        spire_core::RunContext::new(spire_core::PipelineConfig::default()).with_sink(sink.clone());
+    let registry =
+        spire_serve::registry::ModelRegistry::open(&[("m".to_owned(), path)], 4, None, &ctx)
+            .unwrap();
+    let info = registry.reload("m", None, &ctx).unwrap();
+    assert!(info.salvaged);
+    let kinds: Vec<&str> = sink
+        .events()
+        .iter()
+        .map(spire_core::pipeline::Event::kind)
+        .collect();
+    assert_eq!(
+        kinds,
+        [
+            "snapshot_record_dropped",
+            "snapshot_salvaged",
+            "snapshot_record_dropped",
+            "snapshot_salvaged",
+            "model_reloaded"
+        ]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
