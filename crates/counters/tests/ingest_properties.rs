@@ -3,8 +3,9 @@
 //! scaling must obey its algebraic contract.
 
 use proptest::prelude::*;
+use spire_core::fault::FaultRng;
 use spire_counters::perf::export_perf_csv;
-use spire_counters::{ingest_perf_csv, IngestConfig};
+use spire_counters::{ingest_perf_csv, IngestConfig, IngestReport};
 use spire_sim::{Core, CoreConfig, Event, Instr};
 
 /// Arbitrary bytes rendered as (lossy) text — the worst thing a wedged
@@ -14,9 +15,10 @@ fn byte_soup() -> impl Strategy<Value = String> {
         .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
 }
 
-/// A syntactically plausible perf CSV with randomized values, including
-/// sub-floor and >100% running fractions.
-fn plausible_csv() -> impl Strategy<Value = String> {
+/// The rows of a syntactically plausible perf CSV with randomized values,
+/// including sub-floor and >100% running fractions, each with its
+/// interval index.
+fn plausible_rows() -> impl Strategy<Value = Vec<(u32, String)>> {
     let row = (
         0u32..4,     // interval index
         0f64..1e12,  // count
@@ -30,9 +32,44 @@ fn plausible_csv() -> impl Strategy<Value = String> {
                 2 => "evt.alpha",
                 _ => "evt.beta",
             };
-            format!("{}.0,{count},,{event},1000,{pct:.2},,", t + 1)
+            (t, format!("{}.0,{count},,{event},1000,{pct:.2},,", t + 1))
         });
-    prop::collection::vec(row, 0..40).prop_map(|rows| rows.join("\n"))
+    prop::collection::vec(row, 0..40)
+}
+
+/// A syntactically plausible perf CSV (see [`plausible_rows`]).
+fn plausible_csv() -> impl Strategy<Value = String> {
+    plausible_rows().prop_map(|rows| {
+        let rows: Vec<String> = rows.into_iter().map(|(_, row)| row).collect();
+        rows.join("\n")
+    })
+}
+
+/// The capture with each interval's rows gathered into one block, in
+/// their original order, and the blocks laid out in the given order.
+fn blocks_in_order(rows: &[(u32, String)], order: &[u32]) -> String {
+    let mut text = String::new();
+    for &t in order {
+        for (_, row) in rows.iter().filter(|(i, _)| *i == t) {
+            text.push_str(row);
+            text.push('\n');
+        }
+    }
+    text
+}
+
+/// Every sample as `(metric, T bits, W bits, M_x bits)`, in set order.
+fn sample_bits(set: &spire_core::SampleSet) -> Vec<(String, u64, u64, u64)> {
+    set.iter()
+        .map(|s| {
+            (
+                s.metric().to_string(),
+                s.time().to_bits(),
+                s.work().to_bits(),
+                s.metric_delta().to_bits(),
+            )
+        })
+        .collect()
 }
 
 proptest! {
@@ -63,6 +100,54 @@ proptest! {
         // Per-reason counts sum to the quarantine total.
         let by_reason: usize = out.report.quarantined_by_reason.values().sum();
         prop_assert_eq!(by_reason, out.report.rows_quarantined);
+    }
+
+    /// Shuffling whole interval blocks leaves the samples bit-identical:
+    /// assembly orders intervals by their timestamps, not by file order.
+    /// The report moves only where file order shows through: quarantine
+    /// line numbers, and the summation order of each event's mean running
+    /// fraction.
+    #[test]
+    fn interval_block_order_does_not_change_the_ingest(
+        rows in plausible_rows(),
+        seed in any::<u64>(),
+    ) {
+        let mut order: Vec<u32> = (0..4).collect();
+        let mut rng = FaultRng::new(seed);
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.index(i + 1));
+        }
+        // Room for every row's details, so none depend on which come first.
+        let config = IngestConfig {
+            max_quarantine_details: 64,
+            ..IngestConfig::default()
+        };
+        let sorted = ingest_perf_csv(&blocks_in_order(&rows, &[0, 1, 2, 3]), &config);
+        let shuffled = ingest_perf_csv(&blocks_in_order(&rows, &order), &config);
+        prop_assert_eq!(sample_bits(&sorted.samples), sample_bits(&shuffled.samples));
+
+        let fracs = |r: &IngestReport| -> Vec<Option<f64>> {
+            r.per_event.iter().map(|e| e.mean_running_frac).collect()
+        };
+        for (a, b) in fracs(&sorted.report).into_iter().zip(fracs(&shuffled.report)) {
+            match (a, b) {
+                (Some(a), Some(b)) => prop_assert!((a - b).abs() <= 1e-12, "{} vs {}", a, b),
+                (a, b) => prop_assert_eq!(a, b),
+            }
+        }
+        let normalized = |r: &IngestReport| {
+            let mut r = r.clone();
+            for e in &mut r.per_event {
+                e.mean_running_frac = None;
+            }
+            for q in &mut r.quarantine_details {
+                q.line = 0;
+            }
+            r.quarantine_details
+                .sort_by(|a, b| (a.reason, &a.snippet).cmp(&(b.reason, &b.snippet)));
+            r
+        };
+        prop_assert_eq!(normalized(&sorted.report), normalized(&shuffled.report));
     }
 
     /// Truncating a valid capture at any byte still ingests cleanly, and
