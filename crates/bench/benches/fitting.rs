@@ -6,16 +6,17 @@
 //! Besides the criterion-style groups, `main` runs a timed head-to-head of
 //! `fit_right_front` against `roofline::reference::fit_right` on synthetic
 //! Pareto fronts of k = 256 / 1024 / 4096 samples and writes the results to
-//! `BENCH_fitting.json` at the workspace root. The comparison asserts the
-//! two fits agree (equal plateau/tail, fit cost within 1e-9 relative) and
-//! panics on a mismatch, so CI smoke runs validate correctness even though
+//! `BENCH_fitting.json` at the workspace root when the rows pass their
+//! gates (`spire_bench::report`). The comparison asserts the two fits
+//! agree (equal plateau/tail, fit cost within 1e-9 relative) and panics on
+//! a mismatch, so `--test` smoke runs validate correctness even though
 //! they skip the timing.
-
-use std::time::Instant;
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use spire_bench::median_ms;
+use spire_bench::report::{finish, FitCase};
 use spire_core::geometry::{pareto_front, upper_hull_from_origin, Point};
 use spire_core::roofline::{fit_right_front, reference};
 use spire_core::{FitOptions, MetricId, PiecewiseRoofline, RightFitMode, Sample, SampleSet};
@@ -178,19 +179,6 @@ criterion_group!(
 
 // --- fast-vs-reference comparison, emitted as BENCH_fitting.json -----------
 
-/// Median wall-clock milliseconds of `runs` executions of `f`.
-fn time_ms<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut samples: Vec<f64> = (0..runs.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 /// Asserts the fast fit matches the reference on `front`: equal plateau
 /// and tail, fit cost within 1e-9 relative. Panics on violation (this is
 /// the invariant CI smoke mode checks).
@@ -210,20 +198,6 @@ fn assert_fits_agree(shape: &str, k: usize, front: &[Point]) {
     );
 }
 
-#[derive(serde::Serialize)]
-struct BenchSummary {
-    right_fit: Vec<FitCase>,
-}
-
-#[derive(serde::Serialize)]
-struct FitCase {
-    shape: &'static str,
-    k: usize,
-    fast_ms: f64,
-    reference_ms: Option<f64>,
-    speedup: Option<f64>,
-}
-
 fn fit_comparison() -> Vec<FitCase> {
     let mut cases = Vec::new();
     for &(shape, make) in &[
@@ -237,9 +211,9 @@ fn fit_comparison() -> Vec<FitCase> {
             if run_reference {
                 assert_fits_agree(shape, k, &front);
             }
-            let fast_ms = time_ms(5, || fit_right_front(&front, None));
+            let (fast_ms, _) = median_ms(5, || fit_right_front(&front, None));
             let reference_ms =
-                run_reference.then(|| time_ms(3, || reference::fit_right(&front, None)));
+                run_reference.then(|| median_ms(3, || reference::fit_right(&front, None)).0);
             let speedup = reference_ms.map(|r| r / fast_ms);
             println!(
                 "right_fit {shape}/{k}: fast {fast_ms:.3} ms, reference {}, speedup {}",
@@ -247,7 +221,7 @@ fn fit_comparison() -> Vec<FitCase> {
                 speedup.map_or("-".into(), |s| format!("{s:.1}x")),
             );
             cases.push(FitCase {
-                shape,
+                shape: shape.to_owned(),
                 k,
                 fast_ms,
                 reference_ms,
@@ -258,13 +232,8 @@ fn fit_comparison() -> Vec<FitCase> {
     cases
 }
 
-fn smoke_mode() -> bool {
-    std::env::args().any(|a| a == "--test")
-        || std::env::var_os("SPIRE_BENCH_SMOKE").is_some_and(|v| v == "1")
-}
-
 fn main() {
-    if smoke_mode() {
+    if std::env::args().any(|a| a == "--test") {
         // Validate the fast-vs-reference invariants on small fronts; no
         // timing, no BENCH_fitting.json (smoke numbers would be noise).
         for k in [64usize, 256] {
@@ -273,16 +242,7 @@ fn main() {
         }
         println!("bench right_fit invariants ... ok (smoke)");
     } else {
-        let summary = BenchSummary {
-            right_fit: fit_comparison(),
-        };
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fitting.json");
-        spire_core::write_atomic(
-            std::path::Path::new(path),
-            &serde_json::to_string_pretty(&summary).unwrap(),
-        )
-        .unwrap();
-        println!("wrote {path}");
+        finish(&fit_comparison(), false);
     }
     benches();
 }

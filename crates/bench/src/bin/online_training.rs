@@ -7,56 +7,14 @@
 //! no-ops) and a rotating 10% of metrics extend their fronts (patched
 //! right-region refits) — the regime the maintenance layer is built for.
 //! After the last batch the accumulated sample set is retrained from
-//! scratch and the two models must be identical; the run exits non-zero
-//! if they differ or if the per-batch update is not cheaper than the
-//! retrain. Full runs write `BENCH_online.json` at the workspace root;
-//! `--quick` (or `SPIRE_BENCH_SMOKE=1`) runs a tiny instance with the
-//! same gates and no JSON.
+//! scratch. The gates on [`OnlineCase`] require the two models to be
+//! identical and the per-batch update to be cheaper than the retrain, on
+//! every run. Full runs write `BENCH_online.json` at the workspace root;
+//! `--quick` runs a tiny instance and writes nothing.
 
-use std::time::Instant;
-
+use spire_bench::report::{finish, OnlineCase};
+use spire_bench::{median_ms, time_ms, XorShift};
 use spire_core::{OnlineTrainer, Sample, SampleSet, SpireModel, TrainConfig, TrainStrictness};
-
-#[derive(serde::Serialize)]
-struct BenchSummary {
-    online_training: OnlineCase,
-}
-
-#[derive(serde::Serialize)]
-struct OnlineCase {
-    metrics: usize,
-    front_size: usize,
-    seed_samples: usize,
-    rounds: usize,
-    batch_samples: usize,
-    total_samples: usize,
-    seed_ms: f64,
-    mean_update_ms: f64,
-    median_update_ms: f64,
-    update_samples_per_sec: f64,
-    retrain_ms: f64,
-    speedup: f64,
-    models_match: bool,
-}
-
-/// Deterministic xorshift; the bin avoids dev-only dependencies.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    /// Uniform f64 in [0, 1).
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
 
 struct Scale {
     metrics: usize,
@@ -70,24 +28,24 @@ struct Scale {
 }
 
 impl Scale {
-    fn paper() -> Self {
-        // 424 × (1025 + 1500) + 424 × 30 × 20 ≈ 1.33M samples.
-        Scale {
-            metrics: 424,
-            front: 1024,
-            fill: 1500,
-            rounds: 30,
-            batch: 20,
-        }
-    }
-
-    fn quick() -> Self {
-        Scale {
-            metrics: 6,
-            front: 64,
-            fill: 40,
-            rounds: 3,
-            batch: 10,
+    fn new(quick: bool) -> Self {
+        if quick {
+            Scale {
+                metrics: 6,
+                front: 64,
+                fill: 40,
+                rounds: 3,
+                batch: 10,
+            }
+        } else {
+            // 424 × (1025 + 1500) + 424 × 30 × 20 ≈ 1.33M samples.
+            Scale {
+                metrics: 424,
+                front: 1024,
+                fill: 1500,
+                rounds: 30,
+                batch: 20,
+            }
         }
     }
 
@@ -131,15 +89,15 @@ fn staircase(front: usize) -> (Vec<f64>, Vec<f64>) {
 /// A dominated interior sample: just right of front step `i`, strictly
 /// below the front's minimum throughput, so step `i + 1` (higher
 /// intensity, higher throughput) dominates it exactly.
-fn dominated_at(rng: &mut Lcg, xs: &[f64], ys: &[f64]) -> (f64, f64) {
-    let i = rng.next() as usize % (xs.len() - 1);
+fn dominated_at(rng: &mut XorShift, xs: &[f64], ys: &[f64]) -> (f64, f64) {
+    let i = rng.next_u64() as usize % (xs.len() - 1);
     let min_y = ys[ys.len() - 1];
     (xs[i] + 0.01, min_y * (0.3 + 0.4 * rng.unit()))
 }
 
 /// The seed: per metric, an apex at (1, 1000), the full staircase front,
 /// and `fill` dominated samples between the steps.
-fn seed_set(scale: &Scale, xs: &[f64], ys: &[f64], rng: &mut Lcg) -> SampleSet {
+fn seed_set(scale: &Scale, xs: &[f64], ys: &[f64], rng: &mut XorShift) -> SampleSet {
     let mut set = SampleSet::new();
     for j in 0..scale.metrics {
         let m = metric_name(j);
@@ -159,7 +117,13 @@ fn seed_set(scale: &Scale, xs: &[f64], ys: &[f64], rng: &mut Lcg) -> SampleSet {
 /// (exact no-ops), except that a rotating tenth of the metrics spend
 /// their last sample extending the front past its current maximum
 /// intensity (a patched right-region refit).
-fn round_batch(scale: &Scale, round: usize, xs: &[f64], ys: &[f64], rng: &mut Lcg) -> SampleSet {
+fn round_batch(
+    scale: &Scale,
+    round: usize,
+    xs: &[f64],
+    ys: &[f64],
+    rng: &mut XorShift,
+) -> SampleSet {
     let mut set = SampleSet::new();
     for j in 0..scale.metrics {
         let m = metric_name(j);
@@ -182,25 +146,20 @@ fn round_batch(scale: &Scale, round: usize, xs: &[f64], ys: &[f64], rng: &mut Lc
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var_os("SPIRE_BENCH_SMOKE").is_some_and(|v| v == "1");
-    let scale = if quick {
-        Scale::quick()
-    } else {
-        Scale::paper()
-    };
+    let quick = std::env::args().any(|a| a == "--quick");
+    let scale = Scale::new(quick);
     let config = TrainConfig::default();
-    let mut rng = Lcg(0x5eed_cafe_f00d_1234);
+    let mut rng = XorShift(0x5eed_cafe_f00d_1234);
 
     let mut trainer =
         OnlineTrainer::new(config.clone(), TrainStrictness::Lenient).expect("valid config");
 
     let (xs, ys) = staircase(scale.front);
     let seed = seed_set(&scale, &xs, &ys, &mut rng);
-    let start = Instant::now();
-    trainer.push_batch(&seed);
-    trainer.commit().expect("seed commit");
-    let seed_ms = start.elapsed().as_secs_f64() * 1e3;
+    let (seed_ms, _) = time_ms(|| {
+        trainer.push_batch(&seed);
+        trainer.commit().expect("seed commit")
+    });
     println!(
         "seeded {} metrics / {} samples in {seed_ms:.1} ms",
         scale.metrics,
@@ -210,10 +169,10 @@ fn main() {
     let mut update_ms: Vec<f64> = Vec::with_capacity(scale.rounds);
     for round in 0..scale.rounds {
         let batch = round_batch(&scale, round, &xs, &ys, &mut rng);
-        let start = Instant::now();
-        trainer.push_batch(&batch);
-        let outcome = trainer.commit().expect("update commit");
-        let ms = start.elapsed().as_secs_f64() * 1e3;
+        let (ms, outcome) = time_ms(|| {
+            trainer.push_batch(&batch);
+            trainer.commit().expect("update commit")
+        });
         update_ms.push(ms);
         println!("round {round}: {} in {ms:.2} ms", outcome.update.summary());
     }
@@ -227,24 +186,10 @@ fn main() {
     // Median of three retrains: a single half-second measurement on a
     // shared machine is too noisy to anchor the headline ratio.
     let total_samples = trainer.samples().len();
-    let mut retrained = None;
-    let mut retrain_runs: Vec<f64> = (0..3)
-        .map(|_| {
-            let start = Instant::now();
-            retrained = Some(
-                SpireModel::train_with_report(
-                    trainer.samples(),
-                    config.clone(),
-                    TrainStrictness::Lenient,
-                )
-                .expect("batch retrain"),
-            );
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    retrain_runs.sort_by(f64::total_cmp);
-    let retrain_ms = retrain_runs[retrain_runs.len() / 2];
-    let retrained = retrained.expect("three retrain runs");
+    let (retrain_ms, retrained) = median_ms(3, || {
+        SpireModel::train_with_report(trainer.samples(), config.clone(), TrainStrictness::Lenient)
+            .expect("batch retrain")
+    });
     let speedup = retrain_ms / median_update_ms;
 
     println!(
@@ -255,44 +200,22 @@ fn main() {
     );
 
     let models_match = trainer.model().expect("committed model") == &retrained.model;
-    if !models_match {
-        eprintln!("FAIL: incremental model differs from batch retrain");
-    }
-    if speedup <= 1.0 {
-        eprintln!(
-            "FAIL: per-batch update ({median_update_ms:.2} ms median) is not \
-             cheaper than a full retrain ({retrain_ms:.1} ms)"
-        );
-    }
-
-    if !quick {
-        let summary = BenchSummary {
-            online_training: OnlineCase {
-                metrics: scale.metrics,
-                front_size: scale.front + 1,
-                seed_samples: scale.seed_samples(),
-                rounds: scale.rounds,
-                batch_samples: scale.batch_samples(),
-                total_samples,
-                seed_ms,
-                mean_update_ms,
-                median_update_ms,
-                update_samples_per_sec,
-                retrain_ms,
-                speedup,
-                models_match,
-            },
-        };
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_online.json");
-        spire_core::write_atomic(
-            std::path::Path::new(path),
-            &serde_json::to_string_pretty(&summary).unwrap(),
-        )
-        .unwrap();
-        println!("wrote {path}");
-    }
-
-    if !models_match || speedup <= 1.0 {
-        std::process::exit(1);
-    }
+    finish(
+        &OnlineCase {
+            metrics: scale.metrics,
+            front_size: scale.front + 1,
+            seed_samples: scale.seed_samples(),
+            rounds: scale.rounds,
+            batch_samples: scale.batch_samples(),
+            total_samples,
+            seed_ms,
+            mean_update_ms,
+            median_update_ms,
+            update_samples_per_sec,
+            retrain_ms,
+            speedup,
+            models_match,
+        },
+        quick,
+    );
 }

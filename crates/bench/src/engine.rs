@@ -8,9 +8,7 @@
 
 use std::sync::Arc;
 
-use spire_core::pipeline::{
-    analyze, estimate, train, CollectingSink, Event, PipelineConfig, RunContext, StderrSink,
-};
+use spire_core::pipeline::{analyze, estimate, train, PipelineConfig, RunContext, StderrSink};
 use spire_core::{BottleneckReport, SampleSet, SpireModel, TrainConfig};
 use spire_counters::pipeline::build;
 use spire_counters::Dataset;
@@ -20,11 +18,10 @@ use spire_counters::Dataset;
 /// [`RunContext`] (and therefore one event stream).
 pub struct Engine {
     ctx: RunContext,
-    sink: Arc<CollectingSink>,
 }
 
 impl Engine {
-    /// A quiet engine: events are collected but not printed.
+    /// A quiet engine: events go nowhere.
     pub fn new(config: TrainConfig) -> Self {
         Self::build(config, false)
     }
@@ -36,16 +33,14 @@ impl Engine {
     }
 
     fn build(config: TrainConfig, narrate: bool) -> Self {
-        let sink = Arc::new(CollectingSink::new());
         let mut ctx = RunContext::new(PipelineConfig {
             train: config,
             ..PipelineConfig::default()
-        })
-        .with_sink(sink.clone());
+        });
         if narrate {
             ctx.add_sink(Arc::new(StderrSink::verbose()));
         }
-        Engine { ctx, sink }
+        Engine { ctx }
     }
 
     /// Emits a free-form progress note on the bus.
@@ -85,21 +80,12 @@ impl Engine {
         let estimate = estimate(&self.ctx, model, samples).expect("shared event catalog");
         analyze(&self.ctx, &estimate).expect("analysis is infallible")
     }
-
-    /// The events emitted so far, in order.
-    pub fn events(&self) -> Vec<Event> {
-        self.sink.events()
-    }
-
-    /// Whether any run in this session degraded (quarantined metrics).
-    pub fn degraded(&self) -> bool {
-        self.ctx.degraded()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spire_core::pipeline::{CollectingSink, Event};
     use spire_core::Sample;
 
     fn tiny_dataset() -> Dataset {
@@ -117,15 +103,17 @@ mod tests {
     #[test]
     fn engine_train_matches_direct_api() {
         let ds = tiny_dataset();
-        let engine = Engine::new(TrainConfig::default());
+        let mut engine = Engine::new(TrainConfig::default());
+        let sink = Arc::new(CollectingSink::new());
+        engine.ctx.add_sink(sink.clone());
         let via_engine = engine.train(&ds);
         let direct = SpireModel::train(&ds.merged(), TrainConfig::default()).unwrap();
         assert_eq!(via_engine, direct);
         // Build + Train both instrumented.
-        let kinds: Vec<&str> = engine.events().iter().map(Event::kind).collect();
+        let kinds: Vec<&str> = sink.events().iter().map(Event::kind).collect();
         assert!(kinds.contains(&"stage_started"));
         assert!(kinds.contains(&"stage_finished"));
-        assert!(!engine.degraded());
+        assert!(!engine.ctx.degraded());
     }
 
     #[test]

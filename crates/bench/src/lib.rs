@@ -11,6 +11,7 @@
 #![forbid(unsafe_code)]
 
 pub mod engine;
+pub mod report;
 
 pub use engine::Engine;
 
@@ -21,6 +22,49 @@ use spire_counters::{collect, Dataset, SessionConfig, SessionReport};
 use spire_sim::{Core, CoreConfig, Event, Machine, MachineCatalog};
 use spire_tma::{analyze, TmaBreakdown};
 use spire_workloads::WorkloadProfile;
+
+/// Deterministic xorshift for the synthetic benchmark corpora (the bins
+/// avoid dev-only dependencies such as `rand`).
+#[derive(Debug, Clone)]
+pub struct XorShift(pub u64);
+
+impl XorShift {
+    /// The next 64 random bits.
+    pub fn next_u64(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        x
+    }
+
+    /// Uniform f64 in [0, 1).
+    pub fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// Wall time of one run of `f` (milliseconds), and its result.
+pub fn time_ms<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let start = std::time::Instant::now();
+    let out = std::hint::black_box(f());
+    (start.elapsed().as_secs_f64() * 1e3, out)
+}
+
+/// Median wall time of `runs` runs of `f` (milliseconds), and the last
+/// run's result.
+pub fn median_ms<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut times = Vec::with_capacity(runs);
+    let mut last = None;
+    for _ in 0..runs.max(1) {
+        let (ms, out) = time_ms(&mut f);
+        times.push(ms);
+        last = Some(out);
+    }
+    times.sort_by(f64::total_cmp);
+    (times[times.len() / 2], last.expect("at least one run"))
+}
 
 /// Shared experiment parameters.
 #[derive(Debug, Clone)]

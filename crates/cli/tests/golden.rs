@@ -255,18 +255,29 @@ fn golden_convert_round_trip_is_byte_identical() {
         "JSON -> binary -> JSON must be byte-identical"
     );
 
+    // Training reads either encoding to the same model.
+    let train = |data_path: &std::path::Path, snap: &std::path::Path| {
+        run_str(&[
+            "train",
+            "--data",
+            data_path.to_str().unwrap(),
+            "--snapshot",
+            snap.to_str().unwrap(),
+        ])
+        .unwrap();
+        let text = std::fs::read_to_string(snap).unwrap();
+        ModelSnapshot::from_json(&text).unwrap().fingerprint()
+    };
+    let snap = dir.join("model.snapshot.json");
+    assert_eq!(
+        train(&data, &snap),
+        train(&binary, &dir.join("model-bin.snapshot.json")),
+        "training from the binary dataset drifted from the JSON path"
+    );
+
     // The binary dataset answers estimates bit-identically to the JSON
     // one: the whole --json envelope (throughput included, full float
     // precision) must match byte for byte.
-    let snap = dir.join("model.snapshot.json");
-    run_str(&[
-        "train",
-        "--data",
-        data.to_str().unwrap(),
-        "--snapshot",
-        snap.to_str().unwrap(),
-    ])
-    .unwrap();
     let estimate = |data_path: &str| {
         let result = run_str(&[
             "estimate",
@@ -286,6 +297,32 @@ fn golden_convert_round_trip_is_byte_identical() {
         estimate(binary.to_str().unwrap()),
         "estimates from the binary dataset drifted from the JSON path"
     );
+
+    // One damaged data byte: a lenient convert salvages the rest with a
+    // typed chunk_quarantined event (exit 2); --strict refuses (exit 1).
+    let bad = dir.join("bad.spirecol");
+    let mut bytes = std::fs::read(&binary).unwrap();
+    bytes[100] ^= 0xff;
+    std::fs::write(&bad, bytes).unwrap();
+    let convert = |extra: &str| {
+        run_str(&[
+            "convert",
+            "--data",
+            bad.to_str().unwrap(),
+            "--out",
+            dir.join("salvaged.json").to_str().unwrap(),
+            "--to",
+            "json",
+            extra,
+        ])
+    };
+    let result = convert("--json");
+    assert_eq!(exit_code(&result), EXIT_DEGRADED, "salvaged chunk => 2");
+    assert!(result
+        .unwrap()
+        .text
+        .contains(r#""kind": "chunk_quarantined""#));
+    assert_eq!(exit_code(&convert("--strict")), EXIT_FAILURE, "strict => 1");
     std::fs::remove_dir_all(&dir).ok();
 }
 

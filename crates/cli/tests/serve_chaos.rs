@@ -91,16 +91,21 @@ fn fixture() -> &'static Fixture {
 }
 
 /// Starts the daemon and waits for readiness with `client ping --wait`
-/// (the same poll CI uses instead of sleep loops).
-fn start_daemon(f: &Fixture, addr: &str, wal: &Path) -> Child {
+/// (a readiness poll instead of sleep loops). Its output goes to
+/// `NAME.log` and its event stream to `NAME.events.jsonl` in the fixture
+/// directory.
+fn start_daemon(f: &Fixture, name: &str, addr: &str, wal: &Path) -> Child {
+    let log = std::fs::File::create(f.dir.join(format!("{name}.log"))).unwrap();
     let child = spire()
         .arg("serve")
         .arg(format!("m={}", f.snapshot.display()))
         .args(["--addr", addr, "--workers", "2"])
         .arg("--wal-dir")
         .arg(wal)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
+        .arg("--events")
+        .arg(f.dir.join(format!("{name}.events.jsonl")))
+        .stdout(log.try_clone().unwrap())
+        .stderr(log)
         .spawn()
         .expect("spawn spire serve");
     let status = spire()
@@ -119,6 +124,12 @@ fn start_daemon(f: &Fixture, addr: &str, wal: &Path) -> Child {
         .expect("spawn spire client ping --wait");
     assert!(status.success(), "daemon at {addr} never became ready");
     child
+}
+
+/// The text of the daemon output or event file `file` in the fixture
+/// directory.
+fn read(f: &Fixture, file: &str) -> String {
+    std::fs::read_to_string(f.dir.join(file)).unwrap()
 }
 
 fn connect(addr: &str) -> Client {
@@ -160,7 +171,7 @@ fn sigkill_between_acked_updates_recovers_the_acked_state() {
     let f = fixture();
     let wal = f.dir.join("wal_acked");
     let addr = free_addr();
-    let mut daemon = start_daemon(f, &addr, &wal);
+    let mut daemon = start_daemon(f, "acked-1", &addr, &wal);
 
     let base = Dataset::load(f.base.to_str().unwrap()).unwrap().merged();
     let batch = Dataset::load(f.batches[0].to_str().unwrap())
@@ -184,7 +195,7 @@ fn sigkill_between_acked_updates_recovers_the_acked_state() {
     daemon.wait().expect("reap daemon");
 
     let addr2 = free_addr();
-    let mut daemon2 = start_daemon(f, &addr2, &wal);
+    let mut daemon2 = start_daemon(f, "acked-2", &addr2, &wal);
     let (seq, fp) = served_state(&addr2);
     assert_eq!(seq, 2, "both acked updates must survive the kill");
     assert_eq!(fp, acked_fp, "served model must be the last acked state");
@@ -205,6 +216,16 @@ fn sigkill_between_acked_updates_recovers_the_acked_state() {
 
     let _ = client2.shutdown();
     let _ = daemon2.wait();
+
+    // Journaled updates are events too, and a shutdown request ends the
+    // daemon cleanly; neither run panicked.
+    assert!(read(f, "acked-1.events.jsonl").contains(r#""kind":"model_updated""#));
+    let log = read(f, "acked-2.log");
+    assert!(log.contains("spire-serve shut down cleanly"), "{log}");
+    for name in ["acked-1.log", "acked-2.log"] {
+        let log = read(f, name);
+        assert!(!log.to_lowercase().contains("panic"), "{name}: {log}");
+    }
 }
 
 #[test]
@@ -212,7 +233,7 @@ fn sigkill_mid_update_stream_recovers_an_acked_prefix() {
     let f = fixture();
     let wal = f.dir.join("wal_stream");
     let addr = free_addr();
-    let mut daemon = start_daemon(f, &addr, &wal);
+    let mut daemon = start_daemon(f, "stream-1", &addr, &wal);
 
     // Stream base + 5 batches through the real `update --via-server`
     // client in a child process, and SIGKILL the daemon once at least
@@ -250,7 +271,7 @@ fn sigkill_mid_update_stream_recovers_an_acked_prefix() {
     let _ = stream.wait();
 
     let addr2 = free_addr();
-    let mut daemon2 = start_daemon(f, &addr2, &wal);
+    let mut daemon2 = start_daemon(f, "stream-2", &addr2, &wal);
     let (seq, fp) = served_state(&addr2);
     let sets: Vec<SampleSet> = std::iter::once(&f.base)
         .chain(f.batches.iter())
@@ -310,7 +331,7 @@ fn served_estimates_from_binary_dataset_are_bit_identical_to_json() {
 
     let wal = f.dir.join("wal_binfmt");
     let addr = free_addr();
-    let mut daemon = start_daemon(f, &addr, &wal);
+    let mut daemon = start_daemon(f, "binfmt", &addr, &wal);
     let estimate = |data: &Path| {
         let out = spire()
             .args(["client", "estimate", "--addr", &addr, "--model", "m"])

@@ -73,6 +73,7 @@ pub mod ensemble;
 mod error;
 pub mod fault;
 pub mod geometry;
+#[cfg(any(test, feature = "reference-fit"))]
 pub mod graph;
 pub mod machine;
 pub mod online;

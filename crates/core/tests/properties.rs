@@ -6,7 +6,6 @@
 
 use proptest::prelude::*;
 use spire_core::geometry::{pareto_front, piecewise_eval, upper_hull_from_origin, Point};
-use spire_core::graph::DiGraph;
 use spire_core::{
     EnsembleAggregation, FitOptions, MergeStrategy, PiecewiseRoofline, RightFitMode, Sample,
     SampleSet, SpireModel, TrainConfig,
@@ -258,60 +257,6 @@ proptest! {
             if p.x <= apex.x {
                 let v = piecewise_eval(&hull, p.x);
                 prop_assert!(v >= p.y - tol(p.y), "hull({}) = {v} < {}", p.x, p.y);
-            }
-        }
-    }
-
-    /// Dijkstra agrees with Floyd-Warshall on random small graphs.
-    #[test]
-    fn dijkstra_matches_floyd_warshall(
-        n in 2usize..10,
-        edges in prop::collection::vec((0usize..10, 0usize..10, 0.0f64..10.0), 0..40)
-    ) {
-        let mut g = DiGraph::new();
-        for _ in 0..n {
-            g.add_node();
-        }
-        let mut dist = vec![vec![f64::INFINITY; n]; n];
-        for (i, row) in dist.iter_mut().enumerate() {
-            row[i] = 0.0;
-        }
-        for &(a, b, w) in &edges {
-            let (a, b) = (a % n, b % n);
-            g.add_edge(a, b, w);
-            if w < dist[a][b] {
-                dist[a][b] = w;
-            }
-        }
-        for k in 0..n {
-            for i in 0..n {
-                for j in 0..n {
-                    let via = dist[i][k] + dist[k][j];
-                    if via < dist[i][j] {
-                        dist[i][j] = via;
-                    }
-                }
-            }
-        }
-        #[allow(clippy::needless_range_loop)] // `target` indexes the dist matrix
-        for target in 0..n {
-            match g.shortest_path(0, target) {
-                Some(path) => {
-                    prop_assert!((path.cost - dist[0][target]).abs() <= 1e-9);
-                    // The reported path must be real: verify its cost.
-                    let mut acc = 0.0;
-                    for w in path.nodes.windows(2) {
-                        let best = g
-                            .edges(w[0])
-                            .iter()
-                            .filter(|(t, _)| *t == w[1])
-                            .map(|(_, c)| *c)
-                            .fold(f64::INFINITY, f64::min);
-                        acc += best;
-                    }
-                    prop_assert!(acc <= dist[0][target] + 1e-9);
-                }
-                None => prop_assert!(dist[0][target].is_infinite()),
             }
         }
     }

@@ -113,7 +113,8 @@ pub enum QuarantineReason {
     BadNumber,
     /// The timestamp parsed but is not finite.
     BadTimestamp,
-    /// The count parsed but is NaN or infinite.
+    /// The count parsed but is NaN or infinite, or overflows when scaled
+    /// by its running fraction.
     NonFiniteCount,
     /// The count is negative (counters are monotonic).
     NegativeCount,
@@ -512,7 +513,13 @@ impl<'a> Assembler<'a> {
                     return;
                 }
                 if self.config.scale_multiplexed && frac < 1.0 {
-                    (row.count / frac, true)
+                    let count = row.count / frac;
+                    if !count.is_finite() {
+                        cov.quarantined_rows += 1;
+                        self.quarantine(line, QuarantineReason::NonFiniteCount, row.event);
+                        return;
+                    }
+                    (count, true)
                 } else {
                     (row.count, false)
                 }
@@ -788,6 +795,27 @@ not,a,perf,row
         let r = &out.report;
         assert_eq!(r.quarantined_by_reason["non_finite_count"], 2);
         assert_eq!(r.quarantined_by_reason["negative_count"], 1);
+    }
+
+    #[test]
+    fn counts_that_overflow_when_scaled_are_quarantined() {
+        // 1e308 is finite, but at 10% running its extrapolation is not.
+        let text = "\
+1.0,1000,,inst_retired.any,1,100,,
+1.0,500,,cpu_clk_unhalted.thread,1,100,,
+1.0,1e308,,evt.a,100000,10.00,,
+1.0,7,,evt.b,100000,10.00,,
+";
+        let out = ingest_perf_csv(text, &IngestConfig::default());
+        let r = &out.report;
+        assert_eq!(r.rows_quarantined, 1);
+        assert_eq!(r.quarantined_by_reason["non_finite_count"], 1);
+        assert_eq!(r.quarantine_details[0].line, 3);
+        assert_eq!(r.rows_scaled, 1);
+        let evt_a = r.per_event.iter().find(|c| c.event == "evt.a").unwrap();
+        assert_eq!(evt_a.quarantined_rows, 1);
+        assert!(metric(&out.samples, "evt.a").is_empty());
+        assert_eq!(metric(&out.samples, "evt.b").len(), 1);
     }
 
     #[test]

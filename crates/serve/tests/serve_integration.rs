@@ -347,6 +347,8 @@ fn mid_flight_reload_never_tears_a_model() {
         .filter(|e| e.kind() == "model_reloaded")
         .count();
     assert_eq!(reload_events, 8);
+    let stats = control.stats().unwrap().stats.unwrap();
+    assert_eq!(stats.models[0].reloads, 8, "stats counts every reload");
     control.shutdown().unwrap();
     handle.join().unwrap().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
