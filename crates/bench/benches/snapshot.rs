@@ -1,13 +1,12 @@
 //! Criterion benchmarks for model snapshots and fault containment:
-//! snapshot save/load against a raw serde round-trip, and the overhead of
-//! per-item panic containment (`map_catching`) over the plain fan-out
-//! (`map`) at training scale.
+//! checksummed snapshot save and load, and the overhead of per-item panic
+//! containment (`map_catching`) over the plain fan-out (`map`) at
+//! training scale.
 //!
 //! Run `cargo bench --bench snapshot` for full measurements, or with
 //! `-- --test` for the smoke mode CI uses.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use spire_core::snapshot::load_model;
 use spire_core::{
     parallel, ModelSnapshot, Sample, SampleSet, SnapshotMode, SpireModel, TrainConfig,
     TrainStrictness,
@@ -31,7 +30,6 @@ fn trained_model(metrics: usize) -> SpireModel {
 fn bench_snapshot(c: &mut Criterion) {
     let model = trained_model(64);
     let snapshot_json = ModelSnapshot::from_model(&model).unwrap().to_json();
-    let raw_json = serde_json::to_string(&model).unwrap();
 
     let mut group = c.benchmark_group("snapshot");
     group.bench_function("save/checksummed", |b| {
@@ -41,29 +39,19 @@ fn bench_snapshot(c: &mut Criterion) {
                 .to_json()
         });
     });
-    group.bench_function("save/raw_serde", |b| {
-        b.iter(|| serde_json::to_string(std::hint::black_box(&model)).unwrap());
-    });
     group.bench_with_input(
         BenchmarkId::new("load", "checksummed"),
         &snapshot_json,
         |b, text| {
-            b.iter(|| load_model(std::hint::black_box(text), SnapshotMode::Strict).unwrap());
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("load", "raw_serde"),
-        &raw_json,
-        |b, text| {
-            b.iter(|| load_model(std::hint::black_box(text), SnapshotMode::Strict).unwrap());
+            b.iter(|| {
+                ModelSnapshot::from_json(std::hint::black_box(text))
+                    .unwrap()
+                    .into_model(SnapshotMode::Strict)
+                    .unwrap()
+            });
         },
     );
     group.finish();
-
-    // Sanity outside the timed loop: both paths yield the same ensemble.
-    let (a, ..) = load_model(&snapshot_json, SnapshotMode::Strict).unwrap();
-    let (b, ..) = load_model(&raw_json, SnapshotMode::Strict).unwrap();
-    assert_eq!(a, b);
 }
 
 fn bench_containment(c: &mut Criterion) {

@@ -19,17 +19,17 @@
 //! 2. peak-normalized transfer ≥ raw transfer on mean off-diagonal hit
 //!    rate;
 //! 3. normalization measurably narrows the structural transfer gap: on
-//!    *up-transfers* (train peak below eval peak), where the raw model's
-//!    learned ceilings cap every prediction at the small machine's
-//!    limits, the normalized variant's mean relative error is strictly
-//!    lower than the raw variant's.
+//!    *up-transfers* (train peak below eval peak), where the
+//!    unnormalized model's learned ceilings cap every prediction at the
+//!    small machine's limits, the normalized variant's mean relative
+//!    error is strictly lower than the raw variant's.
 //!
-//! Down-transfers are reported but not gated: a raw model evaluated on a
-//! narrower machine's counters already adapts through the samples'
-//! intensities, so normalization has no structural error to remove there
-//! — fraction-of-peak is not machine-invariant when utilization
-//! efficiency differs, which is the paper's argument for retraining per
-//! machine in the first place.
+//! Down-transfers are reported but not gated: an unnormalized model
+//! evaluated on a narrower machine's counters already adapts through the
+//! samples' intensities, so normalization has no structural error to
+//! remove there — fraction-of-peak is not machine-invariant when
+//! utilization efficiency differs, which is the paper's argument for
+//! retraining per machine in the first place.
 
 use spire_bench::report::{finish, TransferCell, TransferMachine, TransferSummary};
 use spire_bench::{config_from_args, dataset_of, run_suite, Engine, WorkloadRun};

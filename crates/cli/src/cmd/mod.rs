@@ -33,8 +33,8 @@ use spire_core::pipeline::{
     self, CollectingSink, Event, EventSink, PipelineConfig, RunContext, Severity,
 };
 use spire_core::{
-    normalize_set, FitOptions, MachineSpec, SampleSet, SnapshotMode, SpireError, SpireModel,
-    TrainConfig, TrainStrictness,
+    normalize_set, FitOptions, MachineSpec, SampleSet, SpireError, SpireModel, TrainConfig,
+    TrainStrictness,
 };
 use spire_workloads::{suite, WorkloadProfile};
 
@@ -107,7 +107,6 @@ impl Runner {
 /// document simply keep their defaults.
 pub(crate) fn pipeline_config(args: &Args) -> Result<PipelineConfig, CmdError> {
     let fit_defaults = FitOptions::default();
-    let strict = args.flag("strict");
     Ok(PipelineConfig {
         train: TrainConfig {
             min_samples_per_metric: args.get_or("min-samples", 1)?,
@@ -120,34 +119,28 @@ pub(crate) fn pipeline_config(args: &Args) -> Result<PipelineConfig, CmdError> {
             },
             ..TrainConfig::default()
         },
-        strictness: if strict {
+        strictness: if args.flag("strict") {
             TrainStrictness::Strict
         } else {
             TrainStrictness::Lenient
-        },
-        snapshot_mode: if strict {
-            SnapshotMode::Strict
-        } else {
-            SnapshotMode::Lenient
         },
         seed: args.get_or("seed", 1)?,
     })
 }
 
-/// Loads a model from `path` through [`pipeline::load_model`] (accepting
-/// a versioned snapshot or legacy raw-model JSON, in the mode chosen by
-/// `--strict`), rendering any salvage into warning text for stdout.
-/// Returns the model, its machine tag (legacy raw-model JSON has none),
-/// and that text.
+/// Loads a snapshot from `path` through [`pipeline::load_model`] (in the
+/// mode chosen by `--strict`), rendering any salvage into warning text
+/// for stdout. Returns the model, its machine tag, and that text.
 pub(crate) fn load_model(
     runner: &Runner,
     path: &str,
 ) -> Result<(SpireModel, Option<MachineSpec>, String), CmdError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read model file {path}: {e}"))?;
-    let (model, machine, report) = pipeline::load_model(&runner.ctx, path, &text)?;
+    let loaded = pipeline::load_model(&runner.ctx, path, &text)?;
+    let report = &loaded.report;
     let mut log = String::new();
-    if let Some(report) = report.filter(|r| r.is_degraded()) {
+    if report.is_degraded() {
         writeln!(
             log,
             "warning: salvaged snapshot {path}: {} of {} metric records dropped",
@@ -158,7 +151,7 @@ pub(crate) fn load_model(
             writeln!(log, "  dropped {}: {}", d.metric, d.reason)?;
         }
     }
-    Ok((model, machine, log))
+    Ok((loaded.model, loaded.machine, log))
 }
 
 /// Cross-checks a model's machine against a dataset's before the model is
@@ -192,7 +185,7 @@ pub(crate) fn check_machine(
                 data_machine: d.name.clone(),
                 data_fingerprint: d.fingerprint.clone(),
             });
-            if runner.ctx.config.snapshot_mode == SnapshotMode::Strict {
+            if runner.ctx.config.strictness == TrainStrictness::Strict {
                 return Err(Box::new(SpireError::MachineMismatch {
                     expected: m.tag(),
                     found: d.tag(),
@@ -219,10 +212,10 @@ pub(crate) fn check_machine(
 
 /// Prepares one workload's samples for a model: a hardware-agnostic
 /// (peak-normalized) model gets the data normalized by the *data*
-/// machine's peaks — that is the cross-machine transfer path — while a
-/// raw model gets a machine-identity check instead. Returns the samples
-/// to estimate with (borrowed unless normalized) plus warning text for
-/// stdout.
+/// machine's peaks — that is the cross-machine transfer path — while an
+/// unnormalized model gets a machine-identity check instead. Returns the
+/// samples to estimate with (borrowed unless normalized) plus warning
+/// text for stdout.
 pub(crate) fn align_samples<'s>(
     runner: &Runner,
     context: &str,
@@ -266,7 +259,7 @@ pub(crate) fn load_dataset(
     runner: &Runner,
     path: &str,
 ) -> Result<(spire_counters::Dataset, String), CmdError> {
-    let mode = runner.ctx.config.snapshot_mode;
+    let mode = runner.ctx.config.snapshot_mode();
     let (dataset, report) = spire_counters::Dataset::load_with_mode(path, mode)
         .map_err(|e| format!("cannot load dataset {path}: {e}"))?;
     let mut log = String::new();

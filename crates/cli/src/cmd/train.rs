@@ -1,5 +1,5 @@
 //! `spire train`: the `build` and `train` pipeline steps over a dataset,
-//! with model/snapshot persistence at the edges. With `--incremental`
+//! with snapshot persistence at the edge. With `--incremental`
 //! the workloads feed an [`OnlineTrainer`] one batch each through the
 //! `update` step instead of one monolithic fit — the result is
 //! bit-identical, and the per-batch `model_refit`/`model_unchanged`
@@ -23,11 +23,7 @@ use super::{json, load_dataset, Runner};
 
 pub(crate) fn run(args: &Args) -> CmdResult {
     let data_path = args.require("data")?;
-    let out_path = args.get("out");
-    let snapshot_path = args.get("snapshot");
-    if out_path.is_none() && snapshot_path.is_none() {
-        return Err("train requires --out and/or --snapshot".into());
-    }
+    let snapshot_path = args.require("snapshot")?;
     let runner = Runner::from_args(args)?;
     let (dataset, mut log) = load_dataset(&runner, data_path)?;
     if args.flag("ingest-report") {
@@ -106,24 +102,18 @@ pub(crate) fn run(args: &Args) -> CmdResult {
         train(&runner.ctx, &merged)?
     };
     writeln!(log, "{}", outcome.report.to_table(10))?;
-    if let Some(path) = out_path {
-        write_atomic(Path::new(path), &serde_json::to_string(&outcome.model)?)?;
-        writeln!(log, "wrote model to {path}")?;
-    }
-    if let Some(path) = snapshot_path {
-        let mut provenance = dataset.provenance(Some(data_path));
-        provenance.machine = machine.clone();
-        let snapshot = ModelSnapshot::from_model(&outcome.model)?
-            .with_provenance(provenance)
-            .with_train_report(outcome.report.clone());
-        write_atomic(Path::new(path), &snapshot.to_json())?;
-        writeln!(
-            log,
-            "wrote snapshot (format v{}, {} checksummed records) to {path}",
-            spire_core::SNAPSHOT_FORMAT_VERSION,
-            outcome.model.metric_count()
-        )?;
-    }
+    let mut provenance = dataset.provenance(Some(data_path));
+    provenance.machine = machine.clone();
+    let snapshot = ModelSnapshot::from_model(&outcome.model)?
+        .with_provenance(provenance)
+        .with_train_report(outcome.report.clone());
+    write_atomic(Path::new(snapshot_path), &snapshot.to_json())?;
+    writeln!(
+        log,
+        "wrote snapshot (format v{}, {} checksummed records) to {snapshot_path}",
+        spire_core::SNAPSHOT_FORMAT_VERSION,
+        outcome.model.metric_count()
+    )?;
     writeln!(
         log,
         "trained {} metric rooflines from {} samples",
@@ -132,8 +122,7 @@ pub(crate) fn run(args: &Args) -> CmdResult {
     )?;
     let result = json::obj(vec![
         ("data", json::s(data_path)),
-        ("model_out", json::opt_s(out_path)),
-        ("snapshot_out", json::opt_s(snapshot_path)),
+        ("snapshot_out", json::s(snapshot_path)),
         ("metrics", json::u(outcome.model.metric_count())),
         ("samples", json::u(dataset.total_samples())),
         ("machine", json::machine(machine.as_ref())),

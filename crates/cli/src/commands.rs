@@ -78,11 +78,10 @@ COMMANDS:
                                       from the catalog, or a machine JSON
                                       file; the dataset is tagged with it)
   train     --data FILE               train a SPIRE model from a dataset;
-            [--out FILE]              --out writes the raw model JSON,
-            [--snapshot FILE]         --snapshot writes a versioned,
+            --snapshot FILE           --snapshot writes it as a versioned,
             [--min-samples N]         checksummed snapshot with provenance
-            [--threads N]             (at least one of the two is
-            [--metric-budget F]       required). Training is fault-
+            [--threads N]             (the model file every command
+            [--metric-budget F]       loads). Training is fault-
             [--max-front N]           isolated: failing metrics are
             [--thin-front]            quarantined up to --metric-budget
             [--strict]                (default 0.5) unless --strict, which
@@ -117,9 +116,9 @@ COMMANDS:
                                       model name); each batch carries an
                                       idempotency key so retries are safe.
   analyze   --model FILE --data FILE  rank bottleneck metrics for a workload
-            --workload LABEL          (--model accepts a snapshot or raw
-            [--top K] [--threads N]   model JSON; corrupted snapshot
-            [--strict]                records are dropped unless --strict)
+            --workload LABEL          (--model is a snapshot from train;
+            [--top K] [--threads N]   corrupted snapshot records are
+            [--strict]                dropped unless --strict)
   estimate  --model FILE --data FILE  just the ensemble throughput estimate
             --workload LABEL          for a workload (same --model handling
             [--threads N] [--strict]  as analyze)

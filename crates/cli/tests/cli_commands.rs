@@ -27,6 +27,25 @@ fn write_dataset(path: &std::path::Path) -> Dataset {
     ds
 }
 
+/// A snapshot's model without the container: the ensemble's fields with
+/// each roofline inlined, as the retired bare-model file stored them.
+fn bare_model_json(snapshot: &ModelSnapshot) -> String {
+    let rooflines: Vec<String> = snapshot
+        .metrics
+        .iter()
+        .map(|r| {
+            let key = serde_json::to_string(&r.metric).unwrap();
+            format!("{key}:{}", r.roofline)
+        })
+        .collect();
+    format!(
+        r#"{{"rooflines":{{{}}},"config":{},"skipped_metrics":{}}}"#,
+        rooflines.join(","),
+        serde_json::to_string(&snapshot.config).unwrap(),
+        serde_json::to_string(&snapshot.skipped_metrics).unwrap()
+    )
+}
+
 #[test]
 fn no_command_prints_usage() {
     let out = run_str(&[]).unwrap();
@@ -92,7 +111,7 @@ fn end_to_end_collect_train_analyze() {
     let dir = std::env::temp_dir().join("spire-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
     let data = dir.join("data.json");
-    let model = dir.join("model.json");
+    let model = dir.join("model.snapshot.json");
 
     // Tiny collection run over the test set to stay fast.
     let out = run_str(&[
@@ -115,7 +134,7 @@ fn end_to_end_collect_train_analyze() {
         "train",
         "--data",
         data.to_str().unwrap(),
-        "--out",
+        "--snapshot",
         model.to_str().unwrap(),
     ])
     .unwrap();
@@ -142,7 +161,7 @@ fn plot_writes_an_svg() {
     let dir = std::env::temp_dir().join("spire-cli-plot-test");
     std::fs::create_dir_all(&dir).unwrap();
     let data = dir.join("data.json");
-    let model = dir.join("model.json");
+    let model = dir.join("model.snapshot.json");
     let svg = dir.join("roofline.svg");
     run_str(&[
         "collect",
@@ -162,7 +181,7 @@ fn plot_writes_an_svg() {
         "train",
         "--data",
         data.to_str().unwrap(),
-        "--out",
+        "--snapshot",
         model.to_str().unwrap(),
     ])
     .unwrap();
@@ -263,12 +282,12 @@ fn ingest_scales_multiplexed_counts_and_stores_the_report() {
     assert!(cov.contains("25.0%"));
 
     // And train --ingest-report surfaces the provenance.
-    let model = dir.join("model.json");
+    let model = dir.join("model.snapshot.json");
     let trained = run_str(&[
         "train",
         "--data",
         out_file.to_str().unwrap(),
-        "--out",
+        "--snapshot",
         model.to_str().unwrap(),
         "--ingest-report",
     ])
@@ -283,13 +302,13 @@ fn train_accepts_front_fitting_flags() {
     let dir = std::env::temp_dir().join("spire-cli-front-flags-test");
     std::fs::create_dir_all(&dir).unwrap();
     let data = dir.join("data.json");
-    let model = dir.join("model.json");
+    let model = dir.join("model.snapshot.json");
     write_dataset(&data);
     let out = run_str(&[
         "train",
         "--data",
         data.to_str().unwrap(),
-        "--out",
+        "--snapshot",
         model.to_str().unwrap(),
         "--max-front",
         "64",
@@ -303,8 +322,16 @@ fn train_accepts_front_fitting_flags() {
 
 #[test]
 fn train_requires_an_output() {
-    let err = run_str(&["train", "--data", "whatever.json"]).unwrap_err();
-    assert!(err.to_string().contains("--out and/or --snapshot"));
+    // The retired bare-model output is no alternative to a snapshot.
+    for extra in [&[][..], &["--out", "m.json"]] {
+        let mut argv = vec!["train", "--data", "whatever.json"];
+        argv.extend_from_slice(extra);
+        let err = run_str(&argv).unwrap_err().to_string();
+        assert!(
+            err.contains("required option --snapshot is missing"),
+            "{err}"
+        );
+    }
 }
 
 #[test]
@@ -374,7 +401,8 @@ fn corrupted_snapshot_salvages_leniently_and_refuses_strictly() {
     .unwrap();
 
     // Corrupt one record's checksum on disk.
-    let mut stored = ModelSnapshot::from_json(&std::fs::read_to_string(&snap).unwrap()).unwrap();
+    let clean = ModelSnapshot::from_json(&std::fs::read_to_string(&snap).unwrap()).unwrap();
+    let mut stored = clean.clone();
     stored.metrics[0].checksum = "0000000000000000".to_owned();
     std::fs::write(&snap, stored.to_json()).unwrap();
 
@@ -398,6 +426,23 @@ fn corrupted_snapshot_salvages_leniently_and_refuses_strictly() {
     argv.push("--strict");
     let err = run_str(&argv).unwrap_err();
     assert!(err.to_string().contains("corrupt"), "got: {err}");
+
+    // The ensemble without its snapshot container is no model file: both
+    // modes refuse it as unreadable.
+    let bare = dir.join("model.bare.json");
+    std::fs::write(&bare, bare_model_json(&clean)).unwrap();
+    let mut argv = vec!["estimate", "--model", bare.to_str().unwrap()];
+    argv.extend_from_slice(&common[2..]);
+    for strict in [false, true] {
+        if strict {
+            argv.push("--strict");
+        }
+        let err = run_str(&argv).unwrap_err();
+        assert!(
+            err.to_string().contains("model snapshot is unreadable"),
+            "got: {err}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -384,6 +384,9 @@ impl Estimate {
 
 /// A trained SPIRE model: an ensemble of per-metric rooflines.
 ///
+/// The model has no serialized form of its own: a
+/// [`ModelSnapshot`](crate::ModelSnapshot) is the one model file.
+///
 /// ```
 /// use spire_core::{Sample, SampleSet, SpireModel, TrainConfig};
 ///
@@ -403,7 +406,7 @@ impl Estimate {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpireModel {
     rooflines: BTreeMap<MetricId, PiecewiseRoofline>,
     config: TrainConfig,
@@ -1344,17 +1347,5 @@ mod tests {
             SpireError::DegenerateWeights { metric } => assert_eq!(metric, "stalls"),
             other => panic!("expected DegenerateWeights, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn model_serde_round_trip_preserves_estimates() {
-        let model = SpireModel::train(&training(), TrainConfig::default()).unwrap();
-        let json = serde_json::to_string(&model).unwrap();
-        let back: SpireModel = serde_json::from_str(&json).unwrap();
-        let mut wl = SampleSet::new();
-        wl.push(s("stalls", 10.0, 20.0, 5.0));
-        let a = model.estimate(&wl).unwrap();
-        let b = back.estimate(&wl).unwrap();
-        assert_eq!(a.throughput(), b.throughput());
     }
 }

@@ -13,7 +13,7 @@
 //!
 //! The steps add **no** computation of their own: each calls exactly the
 //! library entry point a direct caller would
-//! ([`crate::SpireModel::train_with_report`], [`crate::snapshot::load_model`],
+//! ([`crate::SpireModel::train_with_report`], [`crate::ModelSnapshot::into_model`],
 //! [`crate::SpireModel::estimate`], …), so models, snapshots, estimates and
 //! rankings produced through the pipeline are bit-identical to direct API
 //! calls — a guarantee locked by the `pipeline_equivalence` integration
@@ -38,19 +38,28 @@ pub use stages::{
 
 /// The one configuration object a pipeline run carries: the
 /// [`TrainConfig`] (with [`crate::FitOptions`] in `train.fit`) plus
-/// run-wide policy (strictness, snapshot handling) and the determinism
-/// seed.
+/// run-wide strictness and the determinism seed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
     /// Training configuration (includes fit options and thread count).
     pub train: TrainConfig,
     /// Lenient runs quarantine and continue; strict runs fail fast.
-    /// Applies to training and to the ingest error budget.
+    /// Applies to training, the ingest error budget and every snapshot
+    /// or dataset load ([`PipelineConfig::snapshot_mode`]).
     pub strictness: TrainStrictness,
-    /// How snapshot loads treat damaged records.
-    pub snapshot_mode: SnapshotMode,
     /// Workload-stream seed for stages that synthesize data.
     pub seed: u64,
+}
+
+impl PipelineConfig {
+    /// How loads treat damaged records, following [`Self::strictness`]:
+    /// lenient runs salvage, strict runs refuse.
+    pub fn snapshot_mode(&self) -> SnapshotMode {
+        match self.strictness {
+            TrainStrictness::Lenient => SnapshotMode::Lenient,
+            TrainStrictness::Strict => SnapshotMode::Strict,
+        }
+    }
 }
 
 impl Default for PipelineConfig {
@@ -58,7 +67,6 @@ impl Default for PipelineConfig {
         PipelineConfig {
             train: TrainConfig::default(),
             strictness: TrainStrictness::Lenient,
-            snapshot_mode: SnapshotMode::Lenient,
             seed: 1,
         }
     }

@@ -11,11 +11,10 @@
 use crate::analysis::BottleneckReport;
 use crate::catalog::MetricCatalog;
 use crate::ensemble::{Estimate, SpireModel, TrainOutcome, TrainReport};
-use crate::machine::MachineSpec;
 use crate::online::{OnlineTrainer, UpdateOutcome};
 use crate::roofline::ThinningNotice;
 use crate::sample::SampleSet;
-use crate::snapshot::{self, SnapshotReport};
+use crate::snapshot::{ModelSnapshot, SnapshotLoad, SnapshotReport};
 use crate::Result;
 
 use super::{Event, RunContext};
@@ -141,32 +140,25 @@ pub fn emit_salvage_events(report: &SnapshotReport, source: &str, ctx: &RunConte
     });
 }
 
-/// The `load-model` stage: parses snapshot (or legacy raw-model) JSON `text`
-/// once in the context's [`SnapshotMode`](crate::SnapshotMode)
-/// ([`snapshot::load_model`]) and mirrors any salvage onto the bus
-/// ([`emit_salvage_events`]). Returns the model, its machine tag, and
-/// the load report. The caller supplies the text; file I/O stays at the
-/// edges.
+/// The `load-model` stage: parses snapshot JSON `text` once and loads it
+/// in the context's [`SnapshotMode`](crate::SnapshotMode)
+/// ([`ModelSnapshot::into_model`]), mirroring any salvage onto the bus
+/// ([`emit_salvage_events`]). The caller supplies the text; file I/O
+/// stays at the edges.
 ///
 /// # Errors
 ///
-/// As [`snapshot::load_model`].
-pub fn load_model(
-    ctx: &RunContext,
-    source: &str,
-    text: &str,
-) -> Result<(SpireModel, Option<MachineSpec>, Option<SnapshotReport>)> {
+/// As [`ModelSnapshot::from_json`] and [`ModelSnapshot::into_model`].
+pub fn load_model(ctx: &RunContext, source: &str, text: &str) -> Result<SnapshotLoad> {
     ctx.stage(
         "load-model",
         None,
         || {
-            let loaded = snapshot::load_model(text, ctx.config.snapshot_mode)?;
-            if let Some(report) = &loaded.2 {
-                emit_salvage_events(report, source, ctx);
-            }
+            let loaded = ModelSnapshot::from_json(text)?.into_model(ctx.config.snapshot_mode())?;
+            emit_salvage_events(&loaded.report, source, ctx);
             Ok(loaded)
         },
-        |(model, ..)| Some(model.metric_count()),
+        |loaded| Some(loaded.model.metric_count()),
     )
 }
 
@@ -210,7 +202,6 @@ mod tests {
     use crate::error::SpireError;
     use crate::roofline::{FitOptions, PiecewiseRoofline};
     use crate::sample::Sample;
-    use crate::snapshot::ModelSnapshot;
 
     fn training_set() -> SampleSet {
         let mut set = SampleSet::new();
@@ -343,10 +334,10 @@ mod tests {
         let text = snapshot.to_json();
 
         let (ctx, sink) = ctx_with_sink();
-        let (model, machine, report) = load_model(&ctx, "test.snapshot.json", &text).unwrap();
-        assert_eq!(model.metric_count(), 2);
-        assert_eq!(machine, None);
-        assert_eq!(report.expect("snapshot report").dropped.len(), 1);
+        let loaded = load_model(&ctx, "test.snapshot.json", &text).unwrap();
+        assert_eq!(loaded.model.metric_count(), 2);
+        assert_eq!(loaded.machine, None);
+        assert_eq!(loaded.report.dropped.len(), 1);
         let events = sink.events();
         assert!(matches!(
             events.last(),

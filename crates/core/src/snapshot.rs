@@ -23,7 +23,7 @@
 //! version — is fatal in both modes: there is no trustworthy boundary to
 //! salvage within.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
@@ -208,12 +208,14 @@ impl SnapshotReport {
     }
 }
 
-/// A loaded model together with the [`SnapshotReport`] describing what was
-/// salvaged.
+/// A loaded model together with the machine its training data came from
+/// and the [`SnapshotReport`] describing what was salvaged.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotLoad {
     /// The reassembled (possibly degraded) model.
     pub model: SpireModel,
+    /// The machine the snapshot's provenance recorded, when it did.
+    pub machine: Option<MachineSpec>,
     /// Per-record load outcomes.
     pub report: SnapshotReport,
 }
@@ -295,22 +297,7 @@ impl ModelSnapshot {
             serde_json::from_str(text).map_err(|e| SpireError::SnapshotFormat {
                 reason: format!("container does not parse: {e}"),
             })?;
-        if snapshot.format_version == 0 || snapshot.format_version > SNAPSHOT_FORMAT_VERSION {
-            return Err(SpireError::SnapshotFormat {
-                reason: format!(
-                    "unsupported format version {} (this build reads up to {})",
-                    snapshot.format_version, SNAPSHOT_FORMAT_VERSION
-                ),
-            });
-        }
-        if snapshot.checksum_algorithm != CHECKSUM_ALGORITHM {
-            return Err(SpireError::SnapshotFormat {
-                reason: format!(
-                    "unknown checksum algorithm `{}` (expected `{CHECKSUM_ALGORITHM}`)",
-                    snapshot.checksum_algorithm
-                ),
-            });
-        }
+        check_header("", snapshot.format_version, &snapshot.checksum_algorithm)?;
         Ok(snapshot)
     }
 
@@ -319,7 +306,9 @@ impl ModelSnapshot {
     /// In [`SnapshotMode::Lenient`], damaged records are dropped into the
     /// returned [`SnapshotReport`] and the model is built from the
     /// survivors; in [`SnapshotMode::Strict`] the first damaged record's
-    /// error is returned.
+    /// error is returned. A record naming a metric an earlier record
+    /// already named is damaged too, so every record is either loaded or
+    /// dropped. The machine comes from the snapshot's provenance.
     ///
     /// # Errors
     ///
@@ -329,10 +318,20 @@ impl ModelSnapshot {
     /// load (a zero-metric model cannot estimate).
     pub fn into_model(self, mode: SnapshotMode) -> Result<SnapshotLoad> {
         let metrics_total = self.metrics.len();
+        let machine = self.machine().cloned();
         let mut rooflines = BTreeMap::new();
         let mut dropped = Vec::new();
+        let mut seen = BTreeSet::new();
         for record in &self.metrics {
-            match record.decode() {
+            let decoded = if seen.insert(&record.metric) {
+                record.decode()
+            } else {
+                Err(SpireError::SnapshotRecordCorrupt {
+                    metric: record.metric.to_string(),
+                    reason: "duplicate record: an earlier record models this metric".to_owned(),
+                })
+            };
+            match decoded {
                 Ok(roofline) => {
                     rooflines.insert(record.metric.clone(), roofline);
                 }
@@ -362,6 +361,7 @@ impl ModelSnapshot {
         };
         Ok(SnapshotLoad {
             model: SpireModel::from_parts(rooflines, self.config, self.skipped_metrics),
+            machine,
             report,
         })
     }
@@ -546,24 +546,31 @@ impl SnapshotDelta {
             serde_json::from_str(text).map_err(|e| SpireError::SnapshotFormat {
                 reason: format!("delta does not parse: {e}"),
             })?;
-        if delta.format_version == 0 || delta.format_version > SNAPSHOT_FORMAT_VERSION {
-            return Err(SpireError::SnapshotFormat {
-                reason: format!(
-                    "unsupported delta format version {} (this build reads up to {})",
-                    delta.format_version, SNAPSHOT_FORMAT_VERSION
-                ),
-            });
-        }
-        if delta.checksum_algorithm != CHECKSUM_ALGORITHM {
-            return Err(SpireError::SnapshotFormat {
-                reason: format!(
-                    "unknown checksum algorithm `{}` (expected `{CHECKSUM_ALGORITHM}`)",
-                    delta.checksum_algorithm
-                ),
-            });
-        }
+        check_header("delta ", delta.format_version, &delta.checksum_algorithm)?;
         Ok(delta)
     }
+}
+
+/// The container-header checks snapshots and deltas share: a format
+/// version this build reads and the known checksum algorithm. `kind`
+/// prefixes "format version" in the error (`""` or `"delta "`).
+fn check_header(kind: &str, format_version: u32, checksum_algorithm: &str) -> Result<()> {
+    if format_version == 0 || format_version > SNAPSHOT_FORMAT_VERSION {
+        return Err(SpireError::SnapshotFormat {
+            reason: format!(
+                "unsupported {kind}format version {format_version} (this build reads up to {})",
+                SNAPSHOT_FORMAT_VERSION
+            ),
+        });
+    }
+    if checksum_algorithm != CHECKSUM_ALGORITHM {
+        return Err(SpireError::SnapshotFormat {
+            reason: format!(
+                "unknown checksum algorithm `{checksum_algorithm}` (expected `{CHECKSUM_ALGORITHM}`)"
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// Writes `contents` to `path` atomically: the bytes go to a temporary
@@ -596,55 +603,6 @@ pub fn write_atomic_bytes(path: &std::path::Path, contents: &[u8]) -> std::io::R
     std::fs::rename(&tmp, path).inspect_err(|_| {
         let _ = std::fs::remove_file(&tmp);
     })
-}
-
-/// Loads a model from either a snapshot or the legacy raw-model JSON that
-/// `train --out` writes, sniffing the format by attempting the snapshot
-/// container first.
-///
-/// Returns the model, the machine its training data came from (when the
-/// snapshot's provenance recorded one), and, for snapshots, the load
-/// report. Legacy models carry neither a machine nor integrity
-/// information, so both are `None` for them.
-///
-/// # Errors
-///
-/// Snapshot errors as in [`ModelSnapshot::into_model`]; for legacy input,
-/// [`SpireError::SnapshotFormat`] when the text parses as neither format.
-/// A legacy model is also run through [`PiecewiseRoofline::validate`]
-/// per-metric (strict: any violation fails; lenient: violations are
-/// reported but legacy models carry no per-record boundary, so the model
-/// is refused only if every metric is invalid).
-pub fn load_model(
-    text: &str,
-    mode: SnapshotMode,
-) -> Result<(SpireModel, Option<MachineSpec>, Option<SnapshotReport>)> {
-    match ModelSnapshot::from_json(text) {
-        Ok(snapshot) => {
-            let machine = snapshot.machine().cloned();
-            let loaded = snapshot.into_model(mode)?;
-            return Ok((loaded.model, machine, Some(loaded.report)));
-        }
-        Err(SpireError::SnapshotFormat { reason })
-            if text.contains("\"format_version\"") || text.contains("\"checksum_algorithm\"") =>
-        {
-            // The text is (or claims to be) a snapshot; don't fall back to
-            // the legacy parser and mask a version or corruption problem.
-            return Err(SpireError::SnapshotFormat { reason });
-        }
-        Err(_) => {}
-    }
-    let model: SpireModel = serde_json::from_str(text).map_err(|e| SpireError::SnapshotFormat {
-        reason: format!("neither a model snapshot nor a legacy model: {e}"),
-    })?;
-    for roofline in model.rooflines().values() {
-        match roofline.validate() {
-            Ok(()) => {}
-            Err(e) if mode == SnapshotMode::Strict => return Err(e),
-            Err(_) => {}
-        }
-    }
-    Ok((model, None, None))
 }
 
 #[cfg(test)]
@@ -716,6 +674,28 @@ mod tests {
         assert!(lenient.report.dropped[0].reason.contains("checksum"));
         assert!(lenient.model.roofline(&"metric_1".into()).is_none());
         assert!(lenient.model.roofline(&"metric_0".into()).is_some());
+
+        // A repeated record is damaged too: the first one stays loaded.
+        let mut repeated = ModelSnapshot::from_model(&model).unwrap();
+        repeated.metrics.push(repeated.metrics[0].clone());
+        match repeated.clone().into_model(SnapshotMode::Strict) {
+            Err(SpireError::SnapshotRecordCorrupt { metric, reason }) => {
+                assert_eq!(metric, "metric_0");
+                assert!(reason.contains("duplicate record"));
+            }
+            other => panic!("expected record corruption, got {other:?}"),
+        }
+        let salvaged = repeated.into_model(SnapshotMode::Lenient).unwrap();
+        assert_eq!(salvaged.report.dropped.len(), 1);
+        assert_eq!(salvaged.report.dropped[0].metric.as_str(), "metric_0");
+        assert_eq!(salvaged.model, model);
+
+        for report in [&lenient.report, &salvaged.report] {
+            assert_eq!(
+                report.metrics_loaded + report.dropped.len(),
+                report.metrics_total
+            );
+        }
     }
 
     #[test]
@@ -755,12 +735,6 @@ mod tests {
             ModelSnapshot::from_json(truncated).unwrap_err(),
             SpireError::SnapshotFormat { .. }
         ));
-        // Auto-detecting loader must not fall back to the legacy parser
-        // for a damaged snapshot.
-        assert!(matches!(
-            load_model(truncated, SnapshotMode::Lenient).unwrap_err(),
-            SpireError::SnapshotFormat { .. }
-        ));
     }
 
     #[test]
@@ -777,21 +751,17 @@ mod tests {
     }
 
     #[test]
-    fn load_model_accepts_legacy_raw_model_json() {
+    fn bare_model_json_is_refused() {
+        // The ensemble's fields without the snapshot container: not a
+        // model file, whichever mode the load would use.
         let model = trained();
-        let legacy = serde_json::to_string(&model).unwrap();
-        let (loaded, _, report) = load_model(&legacy, SnapshotMode::Strict).unwrap();
-        assert_eq!(loaded, model);
-        assert!(report.is_none());
-    }
-
-    #[test]
-    fn load_model_accepts_snapshot_json() {
-        let model = trained();
-        let json = ModelSnapshot::from_model(&model).unwrap().to_json();
-        let (loaded, _, report) = load_model(&json, SnapshotMode::Lenient).unwrap();
-        assert_eq!(loaded, model);
-        assert!(!report.unwrap().is_degraded());
+        let bare = format!(
+            r#"{{"rooflines":{},"config":{},"skipped_metrics":[]}}"#,
+            serde_json::to_string(model.rooflines()).unwrap(),
+            serde_json::to_string(model.config()).unwrap()
+        );
+        let err = ModelSnapshot::from_json(&bare).unwrap_err();
+        assert!(matches!(err, SpireError::SnapshotFormat { .. }), "{err:?}");
     }
 
     #[test]
@@ -847,6 +817,9 @@ mod tests {
             back.fingerprint(),
             ModelSnapshot::from_model(&model).unwrap().fingerprint()
         );
+        // The load hands the machine to the caller beside the model.
+        let loaded = back.into_model(SnapshotMode::Strict).unwrap();
+        assert_eq!(loaded.machine.unwrap().name, "little");
     }
 
     #[test]
@@ -996,13 +969,12 @@ mod tests {
 
     #[test]
     fn delta_json_is_rejected_by_the_model_loader() {
-        // Feeding a delta where a snapshot is expected must fail cleanly,
-        // not fall back to the legacy parser.
+        // Feeding a delta where a snapshot is expected must fail cleanly.
         let base = ModelSnapshot::from_model(&trained()).unwrap();
         let updated = ModelSnapshot::from_model(&trained_updated()).unwrap();
         let json = SnapshotDelta::between(&base, &updated).to_json();
         assert!(matches!(
-            load_model(&json, SnapshotMode::Lenient).unwrap_err(),
+            ModelSnapshot::from_json(&json).unwrap_err(),
             SpireError::SnapshotFormat { .. }
         ));
     }
@@ -1034,9 +1006,12 @@ mod tests {
             wl.push(Sample::new("metric_2", 10.0, (4 * i) as f64, 3.0).unwrap());
         }
         let json = ModelSnapshot::from_model(&model).unwrap().to_json();
-        let (loaded, _, _) = load_model(&json, SnapshotMode::Strict).unwrap();
+        let loaded = ModelSnapshot::from_json(&json)
+            .unwrap()
+            .into_model(SnapshotMode::Strict)
+            .unwrap();
         let a = model.estimate(&wl).unwrap();
-        let b = loaded.estimate(&wl).unwrap();
+        let b = loaded.model.estimate(&wl).unwrap();
         assert_eq!(a.throughput().to_bits(), b.throughput().to_bits());
         assert_eq!(a.per_metric(), b.per_metric());
     }

@@ -12,11 +12,15 @@
 use spire_core::fault::{
     erring_fit, flip_digit, panicking_fit, poison_metric, silence_panics, truncate, FaultRng,
 };
-use spire_core::snapshot::load_model;
 use spire_core::{
-    MetricId, ModelSnapshot, Sample, SampleSet, SnapshotMode, SpireError, SpireModel, TrainConfig,
-    TrainQuarantineReason, TrainStrictness,
+    MetricId, ModelSnapshot, Sample, SampleSet, SnapshotLoad, SnapshotMode, SpireError, SpireModel,
+    TrainConfig, TrainQuarantineReason, TrainStrictness,
 };
+
+/// The one model load path: parse the container, then verify its records.
+fn load(text: &str, mode: SnapshotMode) -> Result<SnapshotLoad, SpireError> {
+    ModelSnapshot::from_json(text)?.into_model(mode)
+}
 
 /// A clean multi-metric training corpus: `metrics` metrics, 6 samples
 /// each, varied enough to give non-trivial left and right regions.
@@ -217,8 +221,16 @@ fn container_level_digit_flips_never_panic() {
         let damaged = flip_digit(&json, &mut rng).unwrap();
         // Any outcome is acceptable except a panic: pristine load (the
         // flip hit insignificant text), salvage, or a typed refusal.
-        match load_model(&damaged, SnapshotMode::Lenient) {
-            Ok((model, ..)) => assert!(model.metric_count() >= 1),
+        match load(&damaged, SnapshotMode::Lenient) {
+            Ok(loaded) => {
+                let report = &loaded.report;
+                assert!(loaded.model.metric_count() >= 1);
+                assert_eq!(
+                    report.metrics_loaded + report.dropped.len(),
+                    report.metrics_total,
+                    "seed {seed}"
+                );
+            }
             Err(e) => {
                 let _ = e.to_string();
             }
@@ -233,7 +245,7 @@ fn truncated_snapshots_refuse_in_both_modes() {
     for fraction in [0.0, 0.1, 0.5, 0.9, 0.99] {
         let cut = truncate(&json, fraction);
         for mode in [SnapshotMode::Lenient, SnapshotMode::Strict] {
-            let err = load_model(cut, mode).unwrap_err();
+            let err = load(cut, mode).unwrap_err();
             assert!(
                 matches!(err, SpireError::SnapshotFormat { .. }),
                 "fraction {fraction}: {err:?}"
@@ -256,7 +268,7 @@ fn zero_time_workload_fails_typed_through_the_snapshot_path() {
         };
         let model = SpireModel::train(&clean_corpus(2), config).unwrap();
         let json = ModelSnapshot::from_model(&model).unwrap().to_json();
-        let (loaded, ..) = load_model(&json, SnapshotMode::Strict).unwrap();
+        let loaded = load(&json, SnapshotMode::Strict).unwrap().model;
         let mut wl = SampleSet::new();
         wl.push_unchecked(MetricId::new("metric_00"), 0.0, 1.0, 1.0);
         match loaded.estimate(&wl).unwrap_err() {

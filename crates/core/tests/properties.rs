@@ -261,19 +261,6 @@ proptest! {
         }
     }
 
-    /// Model serialization round-trips estimates exactly.
-    #[test]
-    fn serde_round_trip_is_exact(train in samples("m", 32), probe in 0.0f64..200.0) {
-        let set: SampleSet = train.iter().cloned().collect();
-        let model = SpireModel::train(&set, TrainConfig::default()).unwrap();
-        let json = serde_json::to_string(&model).unwrap();
-        let back: SpireModel = serde_json::from_str(&json).unwrap();
-        let m = spire_core::MetricId::new("m");
-        let a = model.roofline(&m).unwrap().estimate(probe);
-        let b = back.roofline(&m).unwrap().estimate(probe);
-        prop_assert_eq!(a, b);
-    }
-
     /// The columnar fit fast path is bit-identical to the generic row
     /// API for arbitrary sample populations (including M = 0 rows).
     #[test]
@@ -384,12 +371,14 @@ proptest! {
         let probe_set: SampleSet = probe_rows.iter().cloned().collect();
         let model = SpireModel::train(&train_set, TrainConfig::default()).unwrap();
         let json = spire_core::ModelSnapshot::from_model(&model).unwrap().to_json();
-        let (loaded, _, report) =
-            spire_core::snapshot::load_model(&json, spire_core::SnapshotMode::Strict).unwrap();
-        prop_assert!(!report.unwrap().is_degraded());
-        prop_assert_eq!(&model, &loaded);
+        let loaded = spire_core::ModelSnapshot::from_json(&json)
+            .unwrap()
+            .into_model(spire_core::SnapshotMode::Strict)
+            .unwrap();
+        prop_assert!(!loaded.report.is_degraded());
+        prop_assert_eq!(&model, &loaded.model);
         let a = model.estimate(&probe_set).unwrap();
-        let b = loaded.estimate(&probe_set).unwrap();
+        let b = loaded.model.estimate(&probe_set).unwrap();
         prop_assert_eq!(a.throughput().to_bits(), b.throughput().to_bits());
         prop_assert_eq!(a.per_metric(), b.per_metric());
     }

@@ -17,8 +17,7 @@ use std::sync::Arc;
 use std::sync::{Mutex, RwLock};
 
 use spire_core::pipeline::{emit_salvage_events, Event, RunContext};
-use spire_core::snapshot::{load_model, ModelSnapshot};
-use spire_core::{BottleneckReport, MachineSpec, SpireModel};
+use spire_core::{BottleneckReport, MachineSpec, ModelSnapshot, SpireModel};
 
 use crate::cache::LruCache;
 use crate::proto::ReloadInfo;
@@ -136,22 +135,20 @@ fn load_entry(name: &str, path: &Path, ctx: &RunContext) -> Result<(ModelEntry, 
     let text = std::fs::read_to_string(path).map_err(|e| {
         ServeError::Protocol(format!("cannot read snapshot {}: {e}", path.display()))
     })?;
-    let (model, machine, report) = load_model(&text, ctx.config.snapshot_mode)
+    let loaded = ModelSnapshot::from_json(&text)
+        .and_then(|snapshot| snapshot.into_model(ctx.config.snapshot_mode()))
         .map_err(|e| ServeError::Protocol(format!("cannot load model {name}: {e}")))?;
-    let salvaged = report.as_ref().is_some_and(|r| r.is_degraded());
-    if let Some(report) = &report {
-        emit_salvage_events(report, &path.display().to_string(), ctx);
-    }
-    let fingerprint = ModelSnapshot::from_model(&model)
+    emit_salvage_events(&loaded.report, &path.display().to_string(), ctx);
+    let fingerprint = ModelSnapshot::from_model(&loaded.model)
         .map_err(|e| ServeError::Protocol(format!("cannot fingerprint model {name}: {e}")))?
         .fingerprint();
     Ok((
         ModelEntry {
-            model,
+            model: loaded.model,
             fingerprint,
-            machine,
+            machine: loaded.machine,
         },
-        salvaged,
+        loaded.report.is_degraded(),
     ))
 }
 

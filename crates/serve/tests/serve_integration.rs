@@ -557,5 +557,29 @@ fn salvaged_loads_emit_salvage_events_and_no_stage_events() {
             "model_reloaded"
         ]
     );
+
+    // The ensemble without its snapshot container is refused at load.
+    let bare = dir.join("bare.json");
+    let rooflines: Vec<String> = snapshot
+        .metrics
+        .iter()
+        .map(|r| {
+            let key = serde_json::to_string(&r.metric).unwrap();
+            format!("{key}:{}", r.roofline)
+        })
+        .collect();
+    let config = serde_json::to_string(&snapshot.config).unwrap();
+    let text = format!(
+        r#"{{"rooflines":{{{}}},"config":{config},"skipped_metrics":[]}}"#,
+        rooflines.join(",")
+    );
+    write_atomic(&bare, &text).unwrap();
+    let err = spire_serve::registry::ModelRegistry::open(&[("m".to_owned(), bare)], 4, None, &ctx)
+        .err()
+        .expect("a bare model file must not load");
+    assert!(
+        err.to_string().contains("model snapshot is unreadable"),
+        "{err}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,7 +3,7 @@
 //! bottlenecks, and validate against the TMA baseline.
 
 use spire_core::catalog::{MetricCatalog, UarchArea};
-use spire_core::{BottleneckReport, SpireModel, TrainConfig};
+use spire_core::{BottleneckReport, ModelSnapshot, SnapshotMode, SpireModel, TrainConfig};
 use spire_counters::{collect, Dataset, SessionConfig};
 use spire_sim::{Core, CoreConfig, Event};
 use spire_tma::analyze;
@@ -130,8 +130,13 @@ fn dataset_round_trip_preserves_training_results() {
 #[test]
 fn model_persists_through_json() {
     let model = train_subset(3, 6);
-    let json = serde_json::to_string(&model).unwrap();
-    let back: SpireModel = serde_json::from_str(&json).unwrap();
+    let json = ModelSnapshot::from_model(&model).unwrap().to_json();
+    let back = ModelSnapshot::from_json(&json)
+        .unwrap()
+        .into_model(SnapshotMode::Strict)
+        .unwrap()
+        .model;
+    assert_eq!(back, model);
     let samples = sample_workload("graph500", "Scale: 29", 7);
     let x = model.estimate(&samples).unwrap();
     let y = back.estimate(&samples).unwrap();
