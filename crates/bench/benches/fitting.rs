@@ -1,7 +1,6 @@
 //! Benchmarks for the roofline fitting algorithms: the Jarvis-march left
 //! fit, the Pareto front, the right-region fit (fast topological-DP path
-//! vs. the retained graph/Dijkstra reference), and the batch SoA estimate
-//! kernel.
+//! vs. the retained graph/Dijkstra reference), and per-sample estimation.
 //!
 //! Besides the criterion-style groups, `main` runs a timed head-to-head of
 //! `fit_right_front` against `roofline::reference::fit_right` on synthetic
@@ -156,13 +155,6 @@ fn bench_batch_estimate(c: &mut Criterion) {
                 acc += roofline.estimate(std::hint::black_box(x));
             }
             acc
-        });
-    });
-    group.bench_function("estimate_soa", |b| {
-        let mut out = Vec::new();
-        b.iter(|| {
-            roofline.estimate_soa(std::hint::black_box(column.intensities()), &mut out);
-            out.len()
         });
     });
     group.finish();

@@ -1,20 +1,16 @@
-//! Dataset I/O benchmark: JSON parse vs binary column-file load vs
-//! zero-copy mmap open, plus scalar vs vectorized roofline estimation,
-//! at paper scale (424 metrics, ~1.3M samples).
+//! Dataset I/O benchmark: JSON parse vs binary column-file load at paper
+//! scale (424 metrics, ~1.3M samples).
 //!
 //! Builds one synthetic dataset, writes it in both formats, and times
-//! the three load paths (median of three warm runs each) and the two
-//! estimate paths (min of interleaved runs). The decoded datasets must be
-//! bit-identical to the source; the vectorized `estimate_soa` pass must
-//! be bit-identical to the scalar per-sample loop. The gates live on
-//! [`IoCase`]; a full run writes `BENCH_dataset.json` at the workspace
-//! root when they pass. `--quick` runs a tiny instance where only the
-//! identity gates are enforced: at toy sizes the timings are noise.
+//! the two load paths (median of warm runs). Both decoded datasets must
+//! be bit-identical to the source. The gates live on [`IoCase`]; a full
+//! run writes `BENCH_dataset.json` at the workspace root when they pass.
+//! `--quick` runs a tiny instance where only the identity gate is
+//! enforced: at toy sizes the timings are noise.
 
 use spire_bench::report::{finish, IoCase};
-use spire_bench::{median_ms, time_ms, XorShift};
-use spire_core::colfile;
-use spire_core::{FitOptions, MetricColumn, MetricId, PiecewiseRoofline, SampleSet};
+use spire_bench::{median_ms, XorShift};
+use spire_core::{MetricColumn, MetricId, SampleSet};
 use spire_counters::Dataset;
 
 /// One synthetic workload: `metrics` metrics of `rows` samples each,
@@ -98,67 +94,10 @@ fn main() {
         median_ms(json_runs, || Dataset::load(&json_path).expect("json load"));
     let (binary_load_ms, from_bin) =
         median_ms(3, || Dataset::load(&bin_path).expect("binary load"));
-    let (mmap_open_ms, mapped) = median_ms(3, || {
-        colfile::mmap::MappedColFile::open(&bin_path).expect("mmap open")
-    });
-    let (mmap_verify_ms, verify) = median_ms(3, || {
-        colfile::mmap::MappedColFile::open(&bin_path)
-            .expect("mmap open")
-            .verify()
-    });
-    assert!(verify.is_clean(), "pristine file failed verification");
-    drop(mapped);
-
     let loads_bit_identical =
         bit_identical(&dataset, &from_json) && bit_identical(&dataset, &from_bin);
     let load_speedup = json_load_ms / binary_load_ms;
-    let mmap_speedup = json_load_ms / mmap_open_ms;
-    println!(
-        "load: json {json_load_ms:.1} ms, binary {binary_load_ms:.1} ms ({load_speedup:.1}x), \
-         mmap open {mmap_open_ms:.3} ms ({mmap_speedup:.0}x), verify {mmap_verify_ms:.1} ms"
-    );
-
-    // Scalar vs vectorized estimation over every intensity in the
-    // corpus, against one representative fitted roofline.
-    let set = from_bin.get("bench").expect("bench section");
-    let column = &set.columns()[0];
-    let roofline = PiecewiseRoofline::fit_column(column, &FitOptions::default()).expect("fit");
-    let xs: Vec<f64> = set
-        .columns()
-        .iter()
-        .flat_map(|c| c.intensities().iter().copied())
-        .collect();
-    // Scalar and SoA runs alternate, 15 each, so drift on a shared host
-    // lands on both sides alike; each side keeps its fastest run.
-    let (mut scalar_estimate_ms, mut soa_estimate_ms) = (f64::INFINITY, f64::INFINITY);
-    let (mut scalar, mut soa) = (Vec::new(), Vec::new());
-    for _ in 0..15 {
-        let (ms, out) = time_ms(|| {
-            let mut out = Vec::with_capacity(xs.len());
-            for &x in &xs {
-                out.push(roofline.estimate(x));
-            }
-            out
-        });
-        (scalar_estimate_ms, scalar) = (scalar_estimate_ms.min(ms), out);
-        let (ms, out) = time_ms(|| {
-            let mut out = Vec::new();
-            roofline.estimate_soa(&xs, &mut out);
-            out
-        });
-        (soa_estimate_ms, soa) = (soa_estimate_ms.min(ms), out);
-    }
-    let estimates_bit_identical = scalar.len() == soa.len()
-        && scalar
-            .iter()
-            .zip(&soa)
-            .all(|(&a, &b)| a.to_bits() == b.to_bits());
-    let estimate_speedup = scalar_estimate_ms / soa_estimate_ms;
-    println!(
-        "estimate over {} intensities: scalar {scalar_estimate_ms:.1} ms, \
-         soa {soa_estimate_ms:.1} ms ({estimate_speedup:.2}x)",
-        xs.len()
-    );
+    println!("load: json {json_load_ms:.1} ms, binary {binary_load_ms:.1} ms ({load_speedup:.1}x)");
 
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -171,15 +110,8 @@ fn main() {
             binary_bytes,
             json_load_ms,
             binary_load_ms,
-            mmap_open_ms,
-            mmap_verify_ms,
             load_speedup,
-            mmap_speedup,
-            scalar_estimate_ms,
-            soa_estimate_ms,
-            estimate_speedup,
             loads_bit_identical,
-            estimates_bit_identical,
         },
         quick,
     );

@@ -106,8 +106,7 @@ pub fn finish<R: Report>(report: &R, quick: bool) {
     }
 }
 
-/// `BENCH_dataset.json`: JSON vs binary vs mmap dataset loads, and the
-/// scalar vs SoA estimate sweep, at paper scale.
+/// `BENCH_dataset.json`: JSON vs binary dataset loads at paper scale.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct IoCase {
     pub metrics: usize,
@@ -117,15 +116,8 @@ pub struct IoCase {
     pub binary_bytes: usize,
     pub json_load_ms: f64,
     pub binary_load_ms: f64,
-    pub mmap_open_ms: f64,
-    pub mmap_verify_ms: f64,
     pub load_speedup: f64,
-    pub mmap_speedup: f64,
-    pub scalar_estimate_ms: f64,
-    pub soa_estimate_ms: f64,
-    pub estimate_speedup: f64,
     pub loads_bit_identical: bool,
-    pub estimates_bit_identical: bool,
 }
 
 impl Report for IoCase {
@@ -135,9 +127,7 @@ impl Report for IoCase {
     fn gates(&self) -> Vec<Gate> {
         vec![
             Gate::new("loads_bit_identical", self.loads_bit_identical),
-            Gate::new("estimates_bit_identical", self.estimates_bit_identical),
             Gate::new("load_speedup >= 10", self.load_speedup >= 10.0).at_paper_scale(),
-            Gate::new("estimate_speedup >= 1.5", self.estimate_speedup >= 1.5).at_paper_scale(),
         ]
     }
 }

@@ -12,6 +12,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use spire_core::pipeline::{CollectingSink, EventSink, JsonLinesSink};
+use spire_serve::proto::ModelStats;
 use spire_serve::{Server, ServerConfig, WalSettings};
 
 use crate::args::Args;
@@ -64,8 +65,13 @@ pub(crate) fn run(args: &Args) -> CmdResult {
         chaos: Default::default(),
     };
 
-    let collecting = Arc::new(CollectingSink::new());
-    let mut sinks: Vec<Arc<dyn EventSink>> = vec![collecting.clone(), Arc::new(WarnSink)];
+    // Events are kept in memory only for the `--json` envelope; without
+    // it a long-lived daemon would accumulate every batch's events.
+    let collecting = args.flag("json").then(|| Arc::new(CollectingSink::new()));
+    let mut sinks: Vec<Arc<dyn EventSink>> = vec![Arc::new(WarnSink)];
+    if let Some(collecting) = &collecting {
+        sinks.push(collecting.clone());
+    }
     if let Some(events_path) = args.get("events") {
         let file = std::fs::File::create(events_path)
             .map_err(|e| format!("cannot create events file {events_path}: {e}"))?;
@@ -84,23 +90,16 @@ pub(crate) fn run(args: &Args) -> CmdResult {
     let mut text = String::new();
     writeln!(text, "spire-serve shut down cleanly")?;
     for (name, slot) in shared.registry.iter() {
-        let c = &slot.counters;
-        let load = |v: &std::sync::atomic::AtomicU64| v.load(std::sync::atomic::Ordering::Relaxed);
+        let m = ModelStats::from_slot(name, slot);
         writeln!(
             text,
             "model {name}: {} estimates, {} analyzes, {} updates, {} shed, \
              {} isolated, {} cache hits, {} reloads",
-            load(&c.estimates),
-            load(&c.analyzes),
-            load(&c.updates),
-            load(&c.shed),
-            load(&c.isolated),
-            load(&c.cache_hits),
-            load(&c.reloads),
+            m.estimates, m.analyzes, m.updates, m.shed, m.isolated, m.cache_hits, m.reloads,
         )?;
     }
 
-    let text = if args.flag("json") {
+    let text = if let Some(collecting) = collecting {
         let models = json::obj(
             specs
                 .iter()

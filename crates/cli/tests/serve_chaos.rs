@@ -108,6 +108,12 @@ fn start_daemon(f: &Fixture, name: &str, addr: &str, wal: &Path) -> Child {
         .stderr(log)
         .spawn()
         .expect("spawn spire serve");
+    wait_ready(addr);
+    child
+}
+
+/// Blocks until the daemon at `addr` answers a ping.
+fn wait_ready(addr: &str) {
     let status = spire()
         .args([
             "client",
@@ -123,7 +129,6 @@ fn start_daemon(f: &Fixture, name: &str, addr: &str, wal: &Path) -> Child {
         .status()
         .expect("spawn spire client ping --wait");
     assert!(status.success(), "daemon at {addr} never became ready");
-    child
 }
 
 /// The text of the daemon output or event file `file` in the fixture
@@ -366,4 +371,45 @@ fn served_estimates_from_binary_dataset_are_bit_identical_to_json() {
 
     let _ = connect(&addr).shutdown();
     let _ = daemon.wait();
+}
+
+#[test]
+fn serve_json_prints_one_envelope_with_the_batch_events() {
+    let f = fixture();
+    let addr = free_addr();
+    let out = f.dir.join("json.out");
+    let mut daemon = spire()
+        .arg("serve")
+        .arg(format!("m={}", f.snapshot.display()))
+        .args(["--addr", &addr, "--json"])
+        .stdout(std::fs::File::create(&out).unwrap())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn spire serve --json");
+    wait_ready(&addr);
+
+    let base = Dataset::load(f.base.to_str().unwrap()).unwrap().merged();
+    let mut client = connect(&addr);
+    let estimate = client.estimate("m", &base).unwrap();
+    assert!(estimate.ok, "{:?}", estimate.error);
+    let _ = client.shutdown();
+    assert!(daemon.wait().expect("reap daemon").success());
+
+    // The listening line comes first; the envelope replaces the
+    // shutdown summary.
+    let stdout = read(f, "json.out");
+    let (listening, envelope) = stdout.split_once('\n').expect("two parts");
+    assert!(
+        listening.starts_with("spire-serve listening on "),
+        "{stdout}"
+    );
+    assert!(
+        envelope.starts_with("{\n  \"command\": \"serve\","),
+        "{stdout}"
+    );
+    assert!(!envelope.contains("shut down cleanly"), "{stdout}");
+    assert!(
+        envelope.contains("\"kind\": \"stage_finished\",\n      \"stage\": \"serve-batch\""),
+        "{envelope}"
+    );
 }

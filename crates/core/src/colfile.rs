@@ -3,8 +3,7 @@
 //! The paper-scale dataset (1.3M samples x 424 metrics) spends far more
 //! time in JSON parsing than in fitting; this module stores the columnar
 //! [`SampleSet`] layout directly on disk so a load is straight `f64`
-//! column copies — or borrowed slices from an mmap'd buffer — with no
-//! per-value parsing.
+//! column copies with no per-value parsing.
 //!
 //! # On-disk layout
 //!
@@ -35,7 +34,7 @@
 //! foreign-order reader detect the mismatch and refuse rather than decode
 //! garbage. Each chunk start — and, via the per-array zero padding, each
 //! of the three arrays inside it — is aligned to [`CHUNK_ALIGN`] bytes so
-//! an mmap'd file can hand out `&[f64]` views directly.
+//! a memory-mapped reader could view each array as `&[f64]` in place.
 //!
 //! # Integrity taxonomy
 //!
@@ -546,246 +545,6 @@ fn decode_f64s(dst: &mut Vec<f64>, bytes: &[u8]) {
     );
 }
 
-// ---------------------------------------------------------------------------
-// Zero-copy mmap view (unix)
-// ---------------------------------------------------------------------------
-
-/// Read-only mmap'd view of a column file: borrowed `&[f64]` chunk slices
-/// with no decode copy.
-///
-/// This is the single audited `unsafe` island in the crate (the rest is
-/// `#![deny(unsafe_code)]`-clean): a private read-only mapping plus
-/// bounds- and alignment-checked slice reborrows. Opening verifies the
-/// header and directory; data chunks are verified lazily by
-/// [`MappedColFile::verify`](mmap::MappedColFile::verify) or chunk access, so an open is O(directory).
-#[cfg(unix)]
-pub mod mmap {
-    #![allow(unsafe_code)]
-
-    use std::fs::File;
-    use std::os::unix::io::AsRawFd;
-    use std::path::Path;
-
-    use super::{
-        parse_directory, parse_header, ColFileReport, Directory, QuarantinedChunk, CHUNK_ALIGN,
-    };
-    use crate::error::{Result, SpireError};
-
-    extern "C" {
-        fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, offset: i64) -> *mut u8;
-        fn munmap(addr: *mut u8, len: usize) -> i32;
-    }
-
-    const PROT_READ: i32 = 1;
-    const MAP_PRIVATE: i32 = 2;
-
-    /// One borrowed chunk of a column: the three raw arrays as `&[f64]`.
-    #[derive(Debug, Clone, Copy)]
-    pub struct ChunkSlices<'a> {
-        /// The `T` rows of this chunk.
-        pub times: &'a [f64],
-        /// The `W` rows of this chunk.
-        pub works: &'a [f64],
-        /// The `M_x` rows of this chunk.
-        pub metric_deltas: &'a [f64],
-    }
-
-    /// Owns one live mapping; unmaps on drop.
-    struct Mapping {
-        ptr: *mut u8,
-        len: usize,
-    }
-
-    // SAFETY: the mapping is private, read-only, and owned by this value
-    // for its whole lifetime; shared references to it are as safe as
-    // shared references to a Vec<u8>.
-    unsafe impl Send for Mapping {}
-    unsafe impl Sync for Mapping {}
-
-    impl Drop for Mapping {
-        fn drop(&mut self) {
-            // SAFETY: ptr/len are the exact mapping returned by mmap and
-            // no borrow of it can outlive self.
-            unsafe {
-                munmap(self.ptr, self.len);
-            }
-        }
-    }
-
-    /// See the [module docs](self).
-    pub struct MappedColFile {
-        map: Mapping,
-        directory: Directory,
-    }
-
-    impl MappedColFile {
-        /// Maps `path` read-only and verifies its header and directory.
-        ///
-        /// # Errors
-        ///
-        /// [`SpireError::SnapshotFormat`] for I/O or mapping failures and
-        /// for container-level damage, as in [`super::read`].
-        pub fn open(path: &Path) -> Result<Self> {
-            let file = File::open(path).map_err(|e| SpireError::SnapshotFormat {
-                reason: format!("cannot open {}: {e}", path.display()),
-            })?;
-            let len = file
-                .metadata()
-                .map_err(|e| SpireError::SnapshotFormat {
-                    reason: format!("cannot stat {}: {e}", path.display()),
-                })?
-                .len() as usize;
-            if len == 0 {
-                return Err(SpireError::SnapshotFormat {
-                    reason: format!("{} is empty", path.display()),
-                });
-            }
-            // SAFETY: length is non-zero and the fd is open for reading;
-            // a MAP_PRIVATE read-only mapping has no aliasing obligations.
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr as isize == -1 || ptr.is_null() {
-                return Err(SpireError::SnapshotFormat {
-                    reason: format!("mmap of {} failed", path.display()),
-                });
-            }
-            let map = Mapping { ptr, len };
-            // SAFETY: as in `bytes` — the mapping is live and private.
-            let bytes = unsafe { std::slice::from_raw_parts(map.ptr, map.len) };
-            let header = parse_header(bytes)?;
-            let directory = parse_directory(bytes, &header)?;
-            Ok(MappedColFile { map, directory })
-        }
-
-        /// The whole mapped file as bytes.
-        pub fn bytes(&self) -> &[u8] {
-            // SAFETY: ptr/len describe the live private mapping owned by
-            // self; it is unmapped only in Drop.
-            unsafe { std::slice::from_raw_parts(self.map.ptr, self.map.len) }
-        }
-
-        /// The opaque metadata string the writer stored.
-        pub fn meta(&self) -> &str {
-            &self.directory.meta
-        }
-
-        /// Section labels, in stored order.
-        pub fn labels(&self) -> impl Iterator<Item = &str> {
-            self.directory.sections.iter().map(|s| s.label.as_str())
-        }
-
-        /// Metric names of one section, in stored (sorted) order.
-        pub fn metrics(&self, label: &str) -> Option<impl Iterator<Item = &str>> {
-            self.directory
-                .sections
-                .iter()
-                .find(|s| s.label == label)
-                .map(|s| s.columns.iter().map(|c| c.metric.as_str()))
-        }
-
-        /// Borrowed chunk slices of one column, verifying each chunk's
-        /// checksum before handing out its rows.
-        ///
-        /// # Errors
-        ///
-        /// [`SpireError::ColumnChunkCorrupt`] on the first damaged chunk
-        /// (a zero-copy view has no salvage mode — the caller asked for
-        /// exactly these rows).
-        pub fn column(&self, label: &str, metric: &str) -> Result<Vec<ChunkSlices<'_>>> {
-            let section = self
-                .directory
-                .sections
-                .iter()
-                .find(|s| s.label == label)
-                .ok_or_else(|| SpireError::SnapshotFormat {
-                    reason: format!("no section `{label}` in column file"),
-                })?;
-            let entry = section
-                .columns
-                .iter()
-                .find(|c| c.metric == metric)
-                .ok_or_else(|| SpireError::SnapshotFormat {
-                    reason: format!("no metric `{metric}` in section `{label}`"),
-                })?;
-            let mut out = Vec::with_capacity(entry.chunks.len());
-            for (index, chunk) in entry.chunks.iter().enumerate() {
-                let spans = super::verify_chunk(self.bytes(), chunk).map_err(|reason| {
-                    SpireError::ColumnChunkCorrupt {
-                        label: label.to_owned(),
-                        metric: metric.to_owned(),
-                        chunk: index,
-                        reason,
-                    }
-                })?;
-                out.push(ChunkSlices {
-                    times: borrow_f64s(spans[0]),
-                    works: borrow_f64s(spans[1]),
-                    metric_deltas: borrow_f64s(spans[2]),
-                });
-            }
-            Ok(out)
-        }
-
-        /// Verifies every chunk checksum, returning the same report shape
-        /// as a lenient [`super::read`] (without decoding any rows).
-        pub fn verify(&self) -> ColFileReport {
-            let mut report = ColFileReport::default();
-            for section in &self.directory.sections {
-                for entry in &section.columns {
-                    for (index, chunk) in entry.chunks.iter().enumerate() {
-                        report.chunks_total += 1;
-                        report.rows_total += chunk.rows;
-                        if let Err(reason) = super::verify_chunk(self.bytes(), chunk) {
-                            report.rows_dropped += chunk.rows;
-                            report.quarantined.push(QuarantinedChunk {
-                                label: section.label.clone(),
-                                metric: entry.metric.clone(),
-                                chunk: index,
-                                rows: chunk.rows,
-                                reason,
-                            });
-                        }
-                    }
-                }
-            }
-            report
-        }
-    }
-
-    /// Reborrows an 8-byte-aligned little-endian byte span as `&[f64]`.
-    ///
-    /// # Panics
-    ///
-    /// If the span is misaligned or ragged — impossible for spans produced
-    /// by `verify_chunk`, whose offsets are 64-byte aligned within a
-    /// page-aligned mapping.
-    fn borrow_f64s(bytes: &[u8]) -> &[f64] {
-        assert_eq!(bytes.len() % 8, 0, "ragged f64 span");
-        assert_eq!(
-            bytes.as_ptr() as usize % std::mem::align_of::<f64>(),
-            0,
-            "misaligned f64 span"
-        );
-        // SAFETY: alignment and length are checked above; every bit
-        // pattern is a valid f64; the borrow shares self's lifetime. This
-        // only runs on little-endian targets in practice (the header's
-        // endianness marker refuses foreign files), and `f64` has no
-        // endianness beyond its bytes — the marker check at open time is
-        // what guarantees the bytes are native-order.
-        unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<f64>(), bytes.len() / 8) }
-    }
-
-    const _: () = assert!(CHUNK_ALIGN.is_multiple_of(std::mem::align_of::<f64>()));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -892,43 +651,5 @@ mod tests {
             .sections
             .is_empty());
         assert!(!is_colfile(b"{\"not\": \"binary\"}"));
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn mmap_view_matches_decoded_columns() {
-        let set = sample_set(11, 200);
-        let mut writer = ColFileWriter::with_chunk_rows(64);
-        writer.add_section("w", &set);
-        writer.set_meta("m");
-        let image = writer.finish();
-        let dir = std::env::temp_dir().join(format!("spire_colfile_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("view.spirecol");
-        crate::snapshot::write_atomic_bytes(&path, &image).unwrap();
-
-        let mapped = mmap::MappedColFile::open(&path).unwrap();
-        assert_eq!(mapped.meta(), "m");
-        assert_eq!(mapped.labels().collect::<Vec<_>>(), ["w"]);
-        assert!(mapped.verify().is_clean());
-        let decoded = read(&image, SnapshotMode::Strict).unwrap();
-        let col = decoded.sections[0].1.column(&"cycles".into()).unwrap();
-        let chunks = mapped.column("w", "cycles").unwrap();
-        let stitched: Vec<f64> = chunks
-            .iter()
-            .flat_map(|c| c.times.iter().copied())
-            .collect();
-        assert_eq!(stitched, col.times());
-        let lens: Vec<usize> = chunks.iter().map(|c| c.works.len()).collect();
-        assert_eq!(lens, [64, 64, 64, 8]);
-
-        // Corrupt on disk: the view refuses the damaged chunk.
-        let mut bad = image.clone();
-        bad[HEADER_LEN + 8] ^= 1;
-        crate::snapshot::write_atomic_bytes(&path, &bad).unwrap();
-        let mapped = mmap::MappedColFile::open(&path).unwrap();
-        assert!(mapped.column("w", "cycles").is_err());
-        assert_eq!(mapped.verify().quarantined.len(), 1);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

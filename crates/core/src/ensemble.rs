@@ -643,15 +643,12 @@ impl SpireModel {
     /// (`estimate` is this method on a batch of one).
     ///
     /// This is the serving hot path: concurrently-arriving requests for
-    /// the same model are merged into larger columns. All requests'
-    /// intensity columns for a given metric are concatenated and pushed
-    /// through one [`PiecewiseRoofline::estimate_soa`] pass — hoisting the
-    /// shape dispatch and boundary loads once per metric per batch rather
-    /// than once per metric per request — then split back by range.
-    /// `estimate_soa` is bit-identical to the scalar per-sample estimate
-    /// lane by lane, so the split segments do not depend on which other
-    /// workloads share the batch, and each segment is merged (paper
-    /// Eq. 1) in its own sample order.
+    /// the same model share one pass. Columns are grouped by metric across
+    /// the batch so each metric is one [`parallel::map`] work item; within
+    /// it every workload's column is evaluated sample by sample with
+    /// [`PiecewiseRoofline::estimate`] and merged (paper Eq. 1) in its own
+    /// sample order, so a result never depends on which other workloads
+    /// share the batch.
     ///
     /// Per-workload errors ([`SpireError::EmptyWorkload`],
     /// [`SpireError::NoCommonMetrics`], [`SpireError::DegenerateWeights`])
@@ -700,21 +697,9 @@ impl SpireModel {
             .collect();
         let merged: Vec<Vec<(usize, Result<MetricEstimate>)>> =
             parallel::map(&group_list, self.config.threads, |(_, roofline, cols)| {
-                let total = cols.iter().map(|(_, c)| c.len()).sum();
-                let mut concatenated = Vec::with_capacity(total);
-                for (_, column) in cols {
-                    concatenated.extend_from_slice(column.intensities());
-                }
-                let mut estimates = Vec::new();
-                roofline.estimate_soa(&concatenated, &mut estimates);
-                let mut out = Vec::with_capacity(cols.len());
-                let mut offset = 0;
-                for (wi, column) in cols {
-                    let segment = &estimates[offset..offset + column.len()];
-                    offset += column.len();
-                    out.push((*wi, merge_estimates(segment, column, merge)));
-                }
-                out
+                cols.iter()
+                    .map(|(wi, column)| (*wi, merge_estimates(roofline, column, merge)))
+                    .collect()
             });
 
         // Scatter metric results back to their workloads, then assemble
@@ -794,11 +779,10 @@ impl SpireModel {
     }
 }
 
-/// Merges one workload column's pre-computed per-sample estimates (paper
-/// Eq. 1). In [`SpireModel::estimate_batch`] the estimates arrive as a
-/// slice of a larger concatenated column.
+/// Evaluates each sample of one workload column on its metric's roofline
+/// and merges the per-sample estimates (paper Eq. 1).
 fn merge_estimates(
-    estimates: &[f64],
+    roofline: &PiecewiseRoofline,
     column: &MetricColumn,
     merge: MergeStrategy,
 ) -> Result<MetricEstimate> {
@@ -808,7 +792,7 @@ fn merge_estimates(
     let mut max_e = f64::NEG_INFINITY;
     let mut total_time = 0.0;
     // The strategy dispatch is hoisted out of the loop so each arm is a
-    // tight accumulation kernel. Bit-identity constraints (pinned by the
+    // tight loop. Bit-identity constraints (pinned by the
     // pipeline-equivalence and golden suites): the sums stay *sequential
     // in sample order* — float addition does not reassociate, so a
     // chunked/pairwise reduction would change results — and the
@@ -817,7 +801,8 @@ fn merge_estimates(
     // payloads included).
     match merge {
         MergeStrategy::TimeWeighted => {
-            for (&e, &time) in estimates.iter().zip(column.times()) {
+            for (&x, &time) in column.intensities().iter().zip(column.times()) {
+                let e = roofline.estimate(x);
                 weighted_sum += time * e;
                 weight_total += time;
                 min_e = min_e.min(e);
@@ -826,7 +811,8 @@ fn merge_estimates(
             }
         }
         MergeStrategy::Unweighted => {
-            for (&e, &time) in estimates.iter().zip(column.times()) {
+            for (&x, &time) in column.intensities().iter().zip(column.times()) {
+                let e = roofline.estimate(x);
                 weighted_sum += e;
                 weight_total += 1.0;
                 min_e = min_e.min(e);

@@ -61,10 +61,7 @@
 //! rooflines and a regression baseline) and `spire-plot` (rendering).
 
 #![warn(missing_docs)]
-// `deny` rather than `forbid`: the crate is unsafe-free except for one
-// narrowly scoped, module-level `#[allow]` island — the mmap view in
-// [`colfile::mmap`] — which documents its safety obligations inline.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod analysis;
 pub mod catalog;

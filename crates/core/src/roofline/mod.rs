@@ -12,7 +12,6 @@
 //!   search over the Pareto front (Fig. 6), ending in a horizontal *tail*
 //!   at the height observed for `I_x = ∞` samples.
 
-mod kernel;
 mod right;
 
 pub use right::{fit_right_front, RightRegion};
@@ -574,28 +573,6 @@ impl PiecewiseRoofline {
         }
     }
 
-    /// Batch SoA form of [`estimate`](PiecewiseRoofline::estimate): clears
-    /// `out` and fills it with the estimate for each intensity, in order.
-    ///
-    /// This is the estimation hot path. Shapes the chunked `kernel`
-    /// module covers — strictly increasing knots on both sides of the
-    /// apex, at most 64 of each — run through its 64-lane
-    /// region-compaction sweep. Every other shape (constant rooflines, a
-    /// one-knot or duplicate-`x` right region, longer knot arrays) maps
-    /// `estimate` over the intensities. Either way every output is
-    /// bit-identical to calling `estimate` on the same intensity — see
-    /// the kernel module docs for why the fast paths preserve bits.
-    pub fn estimate_soa(&self, intensities: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(intensities.len());
-        match &self.shape {
-            Shape::Full { left, right } if kernel::covers(left, &right.knots) => {
-                kernel::estimate_into(left, right, intensities, out);
-            }
-            _ => out.extend(intensities.iter().map(|&x| self.estimate(x))),
-        }
-    }
-
     /// The apex: the highest-throughput training sample the fit split at,
     /// or `None` for constant (all-infinite-intensity) rooflines.
     pub fn apex(&self) -> Option<Point> {
@@ -1050,165 +1027,6 @@ mod tests {
         let json = serde_json::to_string(&FitOptions::default()).unwrap();
         let back: FitOptions = serde_json::from_str(&json).unwrap();
         assert_eq!(back, FitOptions::default());
-    }
-
-    /// Asserts `estimate_soa` is bit-identical to the scalar `estimate` on
-    /// `xs` shifted to each chunk offset, so every probe and every run
-    /// boundary lands in several positions of the kernel's 64-lane chunks.
-    fn assert_soa_matches_scalar(r: &PiecewiseRoofline, xs: &[f64]) {
-        let mut out = Vec::new();
-        for offset in [0, 1, 7, 63, 64, 65, 127] {
-            let mut shifted = vec![-1.0; offset];
-            shifted.extend_from_slice(xs);
-            r.estimate_soa(&shifted, &mut out);
-            assert_eq!(out.len(), shifted.len());
-            for (&x, &got) in shifted.iter().zip(&out) {
-                let want = r.estimate(x);
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "offset {offset}: estimate_soa({x}) = {got} but estimate({x}) = {want}"
-                );
-            }
-        }
-    }
-
-    /// Probes every branch of `estimate`: non-positive, left region, exact
-    /// apex, exact knot boundaries and their neighbours, beyond-tail,
-    /// infinities, NaN.
-    fn branch_probes(r: &PiecewiseRoofline) -> Vec<f64> {
-        let mut probes = vec![
-            -1.0,
-            0.0,
-            f64::MIN_POSITIVE,
-            1e12,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-        ];
-        if let Some(apex) = r.apex() {
-            probes.extend([apex.x * 0.5, apex.x]);
-        }
-        if let Some(region) = r.right_region() {
-            for k in region.knots() {
-                probes.extend([k.x, k.x * (1.0 - 1e-12), k.x * (1.0 + 1e-12), k.x + 1.0]);
-            }
-        }
-        probes
-    }
-
-    #[test]
-    fn estimate_soa_matches_per_sample_estimate_bitwise() {
-        let samples = vec![
-            s(10.0, 5.0, 10.0),
-            s(10.0, 12.0, 8.0),
-            s(10.0, 20.0, 5.0),
-            s(10.0, 25.0, 2.5),
-            s(10.0, 18.0, 1.0),
-            s(10.0, 12.0, 0.5),
-            s(10.0, 0.0, 2.0), // zero work: I = 0 hits the non-positive arm
-            s(10.0, 8.0, 0.0), // I = inf: distinct tail height
-        ];
-        let r = fit(&samples);
-        let region = r.right_region().unwrap().clone();
-        let (apex, knots) = (r.apex().unwrap(), region.knots());
-        let (first, last) = (knots[0], knots[knots.len() - 1]);
-        assert!(kernel::covers(r.left_knots(), knots), "the kernel must run");
-        // Homogeneous runs longer than two chunks, so that whatever the
-        // offset at least one whole chunk is pure zero, left, span, tail
-        // or NaN and reaches the kernel's pure-chunk paths.
-        const RUN: usize = 130;
-        let mut xs = branch_probes(&r);
-        xs.extend(std::iter::repeat_n(-2.0, RUN));
-        xs.extend((1..=RUN).map(|i| apex.x * i as f64 / (RUN + 1) as f64));
-        xs.extend(std::iter::repeat_n(apex.x * 0.25, RUN));
-        xs.extend(std::iter::repeat_n((first.x + last.x) * 0.5, RUN));
-        xs.extend((0..=RUN).map(|i| first.x + (last.x - first.x) * i as f64 / RUN as f64));
-        xs.extend(std::iter::repeat_n(last.x + 5.0, RUN));
-        xs.extend(std::iter::repeat_n(f64::NAN, RUN));
-        // NaNs whose bits differ from `f64::NAN`: the sign bit set, a
-        // quiet NaN with a payload, and a signalling bit pattern. Scalar
-        // `estimate` answers `f64::NAN` for each, so the kernel must too,
-        // in pure NaN chunks and in chunks mixed with span lanes.
-        for nan in [
-            -f64::NAN,
-            f64::from_bits(0x7ff8_0000_0000_beef),
-            f64::from_bits(0x7ff0_0000_0000_0001),
-        ] {
-            assert!(nan.is_nan() && nan.to_bits() != f64::NAN.to_bits());
-            xs.extend(std::iter::repeat_n(nan, RUN));
-            let mid = (first.x + last.x) * 0.5;
-            xs.extend((0..RUN).map(|i| if i % 2 == 0 { nan } else { mid }));
-        }
-        xs.extend(samples.iter().map(Sample::intensity));
-        assert_soa_matches_scalar(&r, &xs);
-    }
-
-    /// Shapes the kernel does not cover fall back to the scalar
-    /// `estimate` lane by lane; pin that fallback bitwise too.
-    #[test]
-    fn estimate_soa_matches_scalar_on_shapes_the_kernel_does_not_cover() {
-        // I = inf: a tail height distinct from the plateau.
-        let tail = s(10.0, 8.0, 0.0);
-        // Constant: every sample at I = inf.
-        let constant = fit(&[s(10.0, 20.0, 0.0), s(10.0, 30.0, 0.0)]);
-        // Plateau mode: an empty right knot list.
-        let plateau = PiecewiseRoofline::fit(
-            "m".into(),
-            [
-                s(10.0, 5.0, 10.0),
-                s(10.0, 25.0, 2.5),
-                s(10.0, 18.0, 1.0),
-                tail.clone(),
-            ]
-            .iter(),
-            &FitOptions {
-                right_fit: RightFitMode::Plateau,
-                ..FitOptions::default()
-            },
-        )
-        .unwrap();
-        // The apex is the rightmost finite sample: a one-knot right region.
-        let one_knot = fit(&[s(10.0, 5.0, 10.0), s(10.0, 25.0, 2.5), tail.clone()]);
-        assert_eq!(
-            one_knot.right_region().unwrap().knots(),
-            &[one_knot.apex().unwrap()]
-        );
-        // A duplicate-x right knot, which the fit never produces but a
-        // deserialized model can carry.
-        let mut duplicate = fit(&[
-            s(10.0, 5.0, 10.0),
-            s(10.0, 25.0, 2.5),
-            s(10.0, 18.0, 1.0),
-            s(10.0, 12.0, 0.5),
-            tail.clone(),
-        ]);
-        let Shape::Full { right, .. } = &mut duplicate.shape else {
-            panic!("a full roofline");
-        };
-        let k = right.knots[1];
-        right.knots.insert(1, Point::new(k.x, k.y + 0.5));
-        // A Graph-mode staircase: a convex, decreasing front of 100
-        // points, every one of them a knot.
-        let staircase: Vec<Sample> = (0..100)
-            .map(|i| {
-                let x = 1.0 + 0.1 * f64::from(i);
-                let y = 10.0 / x;
-                s(10.0, 10.0 * y, 10.0 * y / x)
-            })
-            .chain([tail])
-            .collect();
-        let staircase = fit(&staircase);
-        assert!(staircase.right_region().unwrap().knots().len() > 64);
-
-        for r in [&constant, &plateau, &one_knot, &duplicate, &staircase] {
-            let knots = r.right_region().map_or(&[][..], RightRegion::knots);
-            assert!(!kernel::covers(r.left_knots(), knots));
-            let mut xs = branch_probes(r);
-            let hi = knots.last().map_or(20.0, |k| k.x * 1.5);
-            xs.extend((0..300).map(|i| hi * f64::from(i) / 299.0));
-            assert_soa_matches_scalar(r, &xs);
-        }
     }
 
     #[test]

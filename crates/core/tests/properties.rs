@@ -314,40 +314,6 @@ proptest! {
         prop_assert_eq!(a.per_metric(), b.per_metric());
     }
 
-    /// The batch SoA estimate kernel ([`PiecewiseRoofline::estimate_soa`])
-    /// is bit-identical to the scalar per-sample path, for models trained
-    /// at every thread count (serial and parallel training must agree on
-    /// the fit, and both estimate paths must agree on every sample).
-    #[test]
-    fn batch_estimate_matches_scalar_across_thread_counts(
-        train_rows in corpus(4, 24),
-        probe_rows in corpus(4, 12),
-        threads in 1usize..=8,
-    ) {
-        let train_set: SampleSet = train_rows.iter().cloned().collect();
-        let probe_set: SampleSet = probe_rows.iter().cloned().collect();
-        let cfg = TrainConfig { threads, ..TrainConfig::default() };
-        let model = SpireModel::train(&train_set, cfg).unwrap();
-        for (metric, column) in probe_set.by_metric() {
-            let Some(roofline) = model.roofline(metric) else { continue };
-            let mut batch = Vec::new();
-            roofline.estimate_soa(column.intensities(), &mut batch);
-            prop_assert_eq!(batch.len(), column.len());
-            for (est, &intensity) in batch.iter().zip(column.intensities()) {
-                let scalar = roofline.estimate(intensity);
-                prop_assert_eq!(
-                    est.to_bits(),
-                    scalar.to_bits(),
-                    "batch {} != scalar {} at I={} ({} threads)",
-                    est,
-                    scalar,
-                    intensity,
-                    threads
-                );
-            }
-        }
-    }
-
     /// Every fit over arbitrary valid samples satisfies the model
     /// invariants ([`PiecewiseRoofline::validate`]), in every right-fit
     /// mode: the validator must never reject what the fitter produces.
@@ -386,39 +352,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// The chunked estimate kernel is a pure performance rewrite: at
-    /// every chunk offset it is bit-identical to the scalar `estimate`
-    /// chain — NaN, infinities, and region-boundary-exact probes
-    /// included, in every chunk position.
-    #[test]
-    fn estimate_soa_is_bitwise_scalar_at_every_chunk_offset(
-        rows in samples("m", 48),
-        probes in prop::collection::vec(wild_f64(), 1..200),
-        pad in prop::collection::vec(wild_f64(), 0..100),
-    ) {
-        let r = PiecewiseRoofline::fit("m".into(), rows.iter(), &FitOptions::default()).unwrap();
-        // The pad shifts every probe to a different offset within the
-        // kernel's 64-lane chunks. Mix in boundary-exact probes so
-        // `piecewise_eval`'s end-knot early returns land in arbitrary
-        // chunk positions.
-        let mut probes = [pad, probes].concat();
-        if let Some(apex) = r.apex() {
-            probes.push(apex.x);
-        }
-        if let Some(region) = r.right_region() {
-            if let (Some(f), Some(l)) = (region.knots().first(), region.knots().last()) {
-                probes.push(f.x);
-                probes.push(l.x);
-            }
-        }
-        let mut out = Vec::new();
-        r.estimate_soa(&probes, &mut out);
-        prop_assert_eq!(out.len(), probes.len());
-        for (&x, &got) in probes.iter().zip(&out) {
-            prop_assert_eq!(got.to_bits(), r.estimate(x).to_bits(), "x {}", x);
-        }
-    }
 
     /// The binary column file round-trips hostile values bit-exactly, and
     /// a workload loaded from it estimates bit-identically to the

@@ -15,8 +15,8 @@
 //! - **Queue + workers** ([`queue`], the worker pool in [`server`]):
 //!   bounded queues whose overflow sheds requests with typed
 //!   `request_shed` events; workers coalesce same-model requests into one
-//!   batched SoA estimate pass (`SpireModel::estimate_batch`,
-//!   bit-identical to per-request estimation) and contain request panics
+//!   `SpireModel::estimate_batch` call (bit-identical to per-request
+//!   estimation) and contain request panics
 //!   at the request boundary (`parallel::run_catching`).
 //! - **Cache** ([`cache`]): per-model LRU of recent batch results keyed
 //!   by request identity including the serving fingerprint.

@@ -18,13 +18,14 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use spire_core::catalog::MetricCatalog;
+use spire_core::parallel;
 use spire_core::pipeline::{DiagnosticsBus, Event, EventSink, PipelineConfig, RunContext};
 
 use crate::cache::request_key;
 use crate::frame::{read_frame, write_frame, FrameError};
 use crate::proto::{ModelStats, Request, Response, ServerStats};
 use crate::queue::{Job, JobQueue};
-use crate::registry::{ModelCounters, ModelRegistry};
+use crate::registry::{ModelCounters, ModelRegistry, ModelSlot};
 use crate::wal::WalSettings;
 use crate::worker::{self, effective_top};
 use crate::ServeError;
@@ -270,17 +271,6 @@ impl Server {
     }
 }
 
-/// Turns a `catch_unwind` payload into the human-readable panic message.
-fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_owned()
-    }
-}
-
 /// The supervision wrapper around [`worker::worker_loop`]: a panicked
 /// worker is respawned in place (same thread, fresh loop) with a
 /// `worker_restarted` event, until the pool-wide restart budget is
@@ -289,11 +279,9 @@ fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
 /// accepted request waits forever on a pool that no longer exists.
 fn supervised_worker(shared: &ServerShared, index: usize) {
     loop {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker::worker_loop(shared)))
-        {
+        match parallel::run_catching(|| worker::worker_loop(shared)) {
             Ok(()) => break, // queue closed and drained: clean exit
-            Err(payload) => {
-                let detail = panic_detail(payload);
+            Err(detail) => {
                 let restarts = shared.worker_restarts.fetch_add(1, Ordering::Relaxed) + 1;
                 let budget = shared.config.worker_restart_budget;
                 if restarts <= budget {
@@ -447,41 +435,48 @@ fn reload_response(shared: &ServerShared, request: &Request) -> Response {
     }
 }
 
+impl ModelStats {
+    /// One model's row of the `stats` response, read from its registry
+    /// slot: the served snapshot, the counters, the last journal
+    /// sequence and the ranking drift.
+    pub fn from_slot(name: &str, slot: &ModelSlot) -> Self {
+        let entry = slot.current();
+        let c = &slot.counters;
+        let drift = *slot.drift.lock().unwrap_or_else(|p| p.into_inner());
+        let last_seq = slot
+            .update
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .as_ref()
+            .map(|state| state.seq());
+        ModelStats {
+            name: name.to_owned(),
+            fingerprint: entry.fingerprint.clone(),
+            metrics: entry.model.metric_count(),
+            estimates: c.estimates.load(Ordering::Relaxed),
+            analyzes: c.analyzes.load(Ordering::Relaxed),
+            shed: c.shed.load(Ordering::Relaxed),
+            isolated: c.isolated.load(Ordering::Relaxed),
+            cache_hits: c.cache_hits.load(Ordering::Relaxed),
+            cache_misses: c.cache_misses.load(Ordering::Relaxed),
+            coalesced_batches: c.coalesced_batches.load(Ordering::Relaxed),
+            max_batch: c.max_batch.load(Ordering::Relaxed),
+            reloads: c.reloads.load(Ordering::Relaxed),
+            updates: c.updates.load(Ordering::Relaxed),
+            deduplicated: c.deduplicated.load(Ordering::Relaxed),
+            last_seq,
+            drift_overlap: drift.map(|(overlap, _)| overlap),
+            drift_tau: drift.map(|(_, tau)| tau),
+            machine: entry.machine.clone(),
+        }
+    }
+}
+
 fn stats_response(shared: &ServerShared) -> Response {
     let models = shared
         .registry
         .iter()
-        .map(|(name, slot)| {
-            let entry = slot.current();
-            let c = &slot.counters;
-            let drift = *slot.drift.lock().unwrap_or_else(|p| p.into_inner());
-            let last_seq = slot
-                .update
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .as_ref()
-                .map(|state| state.seq());
-            ModelStats {
-                name: name.clone(),
-                fingerprint: entry.fingerprint.clone(),
-                metrics: entry.model.metric_count(),
-                estimates: c.estimates.load(Ordering::Relaxed),
-                analyzes: c.analyzes.load(Ordering::Relaxed),
-                shed: c.shed.load(Ordering::Relaxed),
-                isolated: c.isolated.load(Ordering::Relaxed),
-                cache_hits: c.cache_hits.load(Ordering::Relaxed),
-                cache_misses: c.cache_misses.load(Ordering::Relaxed),
-                coalesced_batches: c.coalesced_batches.load(Ordering::Relaxed),
-                max_batch: c.max_batch.load(Ordering::Relaxed),
-                reloads: c.reloads.load(Ordering::Relaxed),
-                updates: c.updates.load(Ordering::Relaxed),
-                deduplicated: c.deduplicated.load(Ordering::Relaxed),
-                last_seq,
-                drift_overlap: drift.map(|(overlap, _)| overlap),
-                drift_tau: drift.map(|(_, tau)| tau),
-                machine: entry.machine.clone(),
-            }
-        })
+        .map(|(name, slot)| ModelStats::from_slot(name, slot))
         .collect();
     let mut r = Response::ok("stats");
     r.stats = Some(ServerStats {
@@ -554,22 +549,26 @@ fn batchable_response(shared: &ServerShared, request: Request) -> Response {
                 .recv()
                 .unwrap_or_else(|_| Response::error("worker dropped the request"))
         }
-        Err((job, depth)) => {
-            let capacity = shared.queue.capacity();
-            ModelCounters::bump(&slot.counters.shed);
-            shared.bus.emit(Event::RequestShed {
-                model: name.clone(),
-                depth,
-                capacity,
-            });
-            let mut r = Response::error(format!(
-                "request shed: queue full ({depth}/{capacity}); retry later"
-            ));
-            r.shed = Some(true);
-            r.model = Some(job.model);
-            r
-        }
+        Err((job, depth)) => shed_response(shared, slot, job, depth),
     }
+}
+
+/// Refuses a job the full queue would not take: counts the shed against
+/// its model, emits `request_shed`, and answers with the typed refusal.
+fn shed_response(shared: &ServerShared, slot: &ModelSlot, job: Job, depth: usize) -> Response {
+    let capacity = shared.queue.capacity();
+    ModelCounters::bump(&slot.counters.shed);
+    shared.bus.emit(Event::RequestShed {
+        model: job.model.clone(),
+        depth,
+        capacity,
+    });
+    let mut r = Response::error(format!(
+        "request shed: queue full ({depth}/{capacity}); retry later"
+    ));
+    r.shed = Some(true);
+    r.model = Some(job.model);
+    r
 }
 
 /// Routes an `update` through the queue. Updates never touch the result
@@ -617,20 +616,6 @@ fn update_response(shared: &ServerShared, request: Request) -> Response {
         Ok(()) => receiver
             .recv()
             .unwrap_or_else(|_| Response::error("worker dropped the request")),
-        Err((job, depth)) => {
-            let capacity = shared.queue.capacity();
-            ModelCounters::bump(&slot.counters.shed);
-            shared.bus.emit(Event::RequestShed {
-                model: name.clone(),
-                depth,
-                capacity,
-            });
-            let mut r = Response::error(format!(
-                "request shed: queue full ({depth}/{capacity}); retry later"
-            ));
-            r.shed = Some(true);
-            r.model = Some(job.model);
-            r
-        }
+        Err((job, depth)) => shed_response(shared, slot, job, depth),
     }
 }

@@ -1,8 +1,8 @@
 //! The worker pool's batch-processing loop.
 //!
 //! Workers pop coalesced same-model batches from the [`crate::queue`],
-//! run one batched SoA estimate pass over all of them
-//! ([`spire_core::SpireModel::estimate_batch`] — bit-identical to
+//! estimate all of them in one
+//! [`spire_core::SpireModel::estimate_batch`] call (bit-identical to
 //! per-request estimation), and fan typed responses back to each
 //! request's reply channel. The whole batch serves from one `Arc`'d
 //! model entry cloned up front, so a concurrent hot reload can never
