@@ -16,8 +16,8 @@
 //!   bounded queues whose overflow sheds requests with typed
 //!   `request_shed` events; workers coalesce same-model requests into one
 //!   `SpireModel::estimate_batch` call (bit-identical to per-request
-//!   estimation) and contain request panics
-//!   at the request boundary (`parallel::run_catching`).
+//!   estimation) and contain request panics at the request boundary
+//!   (`parallel::run_catching`).
 //! - **Cache** ([`cache`]): per-model LRU of recent batch results keyed
 //!   by request identity including the serving fingerprint.
 //!

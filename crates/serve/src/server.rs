@@ -534,7 +534,7 @@ fn batchable_response(shared: &ServerShared, request: Request) -> Response {
     let kind = request.kind.clone();
     let (reply, receiver) = mpsc::channel();
     let job = Job {
-        model: name.clone(),
+        model: name,
         request,
         samples_json,
         reply,
@@ -607,7 +607,7 @@ fn update_response(shared: &ServerShared, request: Request) -> Response {
     };
     let (reply, receiver) = mpsc::channel();
     let job = Job {
-        model: name.clone(),
+        model: name,
         request,
         samples_json,
         reply,
