@@ -61,6 +61,15 @@ pub enum ServeError {
     Timeout(Duration),
     /// Any other protocol or load failure, with detail.
     Protocol(String),
+    /// Durable state the daemon cannot read — a journal or checkpoint of
+    /// another format version, or bytes that pass their checksum but do
+    /// not decode. The file is refused and left exactly as it was.
+    Unreadable {
+        /// The refused file.
+        path: std::path::PathBuf,
+        /// Why it cannot be read.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -73,6 +82,13 @@ impl std::fmt::Display for ServeError {
                 write!(f, "no response within {} ms", limit.as_millis())
             }
             ServeError::Protocol(detail) => write!(f, "{detail}"),
+            ServeError::Unreadable { path, reason } => {
+                write!(
+                    f,
+                    "refusing {}: {reason}; the file was left untouched",
+                    path.display()
+                )
+            }
         }
     }
 }

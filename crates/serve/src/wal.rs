@@ -10,9 +10,19 @@
 //! (`online_equivalence.rs`), extended across a process boundary. A
 //! record the crash tore in half was by definition never acknowledged,
 //! so the replay truncates it (typed `wal_truncated` event, Warning)
-//! and loses nothing a client was promised.
+//! and loses nothing a client was promised. Anything else the daemon
+//! cannot read — a journal or checkpoint of another format version, or
+//! a record whose checksum holds but whose payload does not decode — is
+//! refused with [`ServeError::Unreadable`] and left byte-for-byte as it
+//! was.
 //!
 //! ## On-disk layout (per model, under the configured WAL directory)
+//!
+//! Samples are stored in the [`colfile`] column layout (`SPIRECOL`
+//! header, checksummed 64-byte-aligned `f64` chunks, JSON directory
+//! with an opaque `meta` string), so replay decodes them as straight
+//! column copies and every sample byte is covered by the colfile's own
+//! chunk and directory checksums.
 //!
 //! - `<name>.base.json` — the anchor [`ModelSnapshot`]: zero metric
 //!   records plus the pinned [`TrainConfig`]. The maintained model is
@@ -20,28 +30,31 @@
 //!   clean batch retrain over them), so the delta chain starts from the
 //!   empty model, and the anchor's only jobs are pinning the training
 //!   configuration and the first record's `base_fingerprint`.
-//! - `<name>.checkpoint.json` — compaction output ([`WalCheckpoint`]):
-//!   the full sample set and model fingerprint as of a sequence number,
-//!   written with [`write_atomic`]. Replay folds it in first and skips
-//!   journal records it already covers.
+//! - `<name>.checkpoint.spirecol` — compaction output ([`WalCheckpoint`]):
+//!   a colfile whose one section holds every committed sample, and whose
+//!   `meta` is the JSON of the format version, sequence number and model
+//!   fingerprint. Written with [`write_atomic_bytes`]; replay folds it in
+//!   first and skips journal records it already covers.
 //! - `<name>.wal` — the journal: a 12-byte header (`SPIREWAL` magic +
-//!   big-endian u32 version) followed by records framed as
-//!   `[u32 BE payload len][u64 BE fnv1a64(payload)][payload JSON]`,
-//!   reusing the snapshot layer's FNV-1a checksum. Each payload is one
-//!   [`WalRecord`]: sequence number, optional idempotency key, the
-//!   batch itself, and the [`SnapshotDelta`] the commit produced —
-//!   every record is chained to its predecessor through the delta's
-//!   base/result fingerprints, so replay can *verify* each step rather
-//!   than trust it.
+//!   big-endian u32 [`WAL_VERSION`]) followed by records framed as
+//!   `[u32 BE payload len][u64 BE fnv1a64(payload)][payload]`, reusing
+//!   the snapshot layer's FNV-1a checksum. Each payload is one colfile
+//!   holding one [`WalRecord`]: its only section is the batch, and its
+//!   `meta` is the JSON of the sequence number, optional idempotency
+//!   key, batch fingerprint and the [`SnapshotDelta`] the commit
+//!   produced — every record is chained to its predecessor through the
+//!   delta's base/result fingerprints, so replay can *verify* each step
+//!   rather than trust it.
 //!
 //! ## Commit ordering
 //!
 //! [`UpdateState::apply_update`] trains a **cloned** trainer first (a
 //! failed or refused commit leaves no trace), appends + fsyncs the
 //! journal record, and only then publishes the new state in memory. A
-//! failed append is rolled back by truncating the journal to its
-//! previous length; if even that fails the state is poisoned and all
-//! further updates are refused with a typed error until restart.
+//! failed append discards the candidate trainer and truncates the
+//! journal back to its previous length; if even that fails the state is
+//! poisoned and all further updates are refused with a typed error
+//! until restart.
 
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
@@ -49,20 +62,22 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
+use spire_core::colfile;
 use spire_core::pipeline::{Event, RunContext};
 use spire_core::snapshot::fnv1a64;
 use spire_core::{
-    write_atomic, MachineSpec, ModelSnapshot, OnlineTrainer, SampleSet, SnapshotDelta,
-    SnapshotProvenance, SpireModel, TrainConfig, TrainStrictness, UpdateReport,
-    SNAPSHOT_FORMAT_VERSION,
+    write_atomic, write_atomic_bytes, MachineSpec, ModelSnapshot, OnlineTrainer, SampleSet,
+    SnapshotDelta, SnapshotMode, SnapshotProvenance, SpireModel, TrainConfig, TrainStrictness,
+    UpdateReport, SNAPSHOT_FORMAT_VERSION,
 };
 
 use crate::ServeError;
 
 /// Journal file magic; the version after it gates format evolution.
 pub const WAL_MAGIC: &[u8; 8] = b"SPIREWAL";
-/// Journal format version.
-pub const WAL_VERSION: u32 = 1;
+/// Journal format version. Version 1 stored each record as JSON;
+/// version 2 stores it as a colfile.
+pub const WAL_VERSION: u32 = 2;
 /// Header length: magic + big-endian version.
 pub const WAL_HEADER_LEN: u64 = 12;
 /// Per-record frame overhead: u32 length + u64 checksum.
@@ -70,6 +85,8 @@ pub const WAL_FRAME_LEN: u64 = 12;
 /// Hard cap on one record's payload — a corrupt length prefix must not
 /// trigger a giant allocation during replay.
 const MAX_RECORD_LEN: usize = 256 << 20;
+/// Section label of a record's batch and of a checkpoint's samples.
+const SAMPLES_SECTION: &str = "samples";
 
 /// Where and how a daemon journals updates.
 #[derive(Debug, Clone)]
@@ -105,13 +122,19 @@ impl WalSettings {
 
     /// The checkpoint path for `model`.
     pub fn checkpoint_path(&self, model: &str) -> PathBuf {
+        self.dir.join(format!("{model}.checkpoint.spirecol"))
+    }
+
+    /// Where journal version 1 kept `model`'s JSON checkpoint; its
+    /// presence is refused, never read.
+    fn legacy_checkpoint_path(&self, model: &str) -> PathBuf {
         self.dir.join(format!("{model}.checkpoint.json"))
     }
 }
 
 /// One journaled update: the batch plus the delta its commit produced,
 /// chained to the previous record through the delta's fingerprints.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WalRecord {
     /// Monotonic sequence number (1-based; 0 is the anchor).
     pub seq: u64,
@@ -128,9 +151,52 @@ pub struct WalRecord {
     pub delta: SnapshotDelta,
 }
 
+/// A record's fields other than its batch: the `meta` string of the
+/// record's colfile.
+#[derive(Serialize, Deserialize)]
+struct RecordMeta {
+    seq: u64,
+    key: Option<String>,
+    batch_fingerprint: String,
+    delta: SnapshotDelta,
+}
+
+impl WalRecord {
+    /// The record's payload: a colfile whose one section is the batch.
+    fn encode(&self) -> Result<Vec<u8>, String> {
+        let meta = serde_json::to_string(&RecordMeta {
+            seq: self.seq,
+            key: self.key.clone(),
+            batch_fingerprint: self.batch_fingerprint.clone(),
+            delta: self.delta.clone(),
+        })
+        .map_err(|e| format!("cannot serialize record metadata: {e}"))?;
+        Ok(colfile::write_sections(
+            [(SAMPLES_SECTION, &self.batch)],
+            &meta,
+        ))
+    }
+
+    /// Decodes a checksum-verified payload. Any failure here is damage
+    /// the frame checksum did not see, or another writer's bytes — never
+    /// a torn write.
+    fn decode(payload: &[u8]) -> Result<WalRecord, String> {
+        let (meta, batch) = decode_samples(payload)?;
+        let meta: RecordMeta = serde_json::from_str(&meta)
+            .map_err(|e| format!("record metadata does not parse: {e}"))?;
+        Ok(WalRecord {
+            seq: meta.seq,
+            key: meta.key,
+            batch_fingerprint: meta.batch_fingerprint,
+            batch,
+            delta: meta.delta,
+        })
+    }
+}
+
 /// Compaction output: everything needed to rebuild the trainer without
 /// the records the checkpoint covers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct WalCheckpoint {
     /// Snapshot-format version (shared with the model snapshot layer).
     pub format_version: u32,
@@ -142,13 +208,63 @@ pub struct WalCheckpoint {
     pub samples: SampleSet,
 }
 
+/// A checkpoint's fields other than its samples: the `meta` string of
+/// the checkpoint's colfile.
+#[derive(Serialize, Deserialize)]
+struct CheckpointMeta {
+    format_version: u32,
+    seq: u64,
+    fingerprint: String,
+}
+
+/// The checkpoint file image for `samples` as of `seq`/`fingerprint`,
+/// encoded straight from the borrowed set.
+fn encode_checkpoint(seq: u64, fingerprint: &str, samples: &SampleSet) -> Result<Vec<u8>, String> {
+    let meta = serde_json::to_string(&CheckpointMeta {
+        format_version: SNAPSHOT_FORMAT_VERSION,
+        seq,
+        fingerprint: fingerprint.to_owned(),
+    })
+    .map_err(|e| format!("cannot serialize checkpoint metadata: {e}"))?;
+    Ok(colfile::write_sections([(SAMPLES_SECTION, samples)], &meta))
+}
+
+/// Decodes a checkpoint file image.
+fn decode_checkpoint(bytes: &[u8]) -> Result<WalCheckpoint, String> {
+    let (meta, samples) = decode_samples(bytes)?;
+    let meta: CheckpointMeta = serde_json::from_str(&meta)
+        .map_err(|e| format!("checkpoint metadata does not parse: {e}"))?;
+    if meta.format_version != SNAPSHOT_FORMAT_VERSION {
+        return Err(format!(
+            "checkpoint format version {} (this build reads {SNAPSHOT_FORMAT_VERSION})",
+            meta.format_version
+        ));
+    }
+    Ok(WalCheckpoint {
+        format_version: meta.format_version,
+        seq: meta.seq,
+        fingerprint: meta.fingerprint,
+        samples,
+    })
+}
+
+/// Strictly decodes a colfile that must hold exactly one sample section,
+/// returning its `meta` string and that section.
+fn decode_samples(bytes: &[u8]) -> Result<(String, SampleSet), String> {
+    let contents = colfile::read(bytes, SnapshotMode::Strict).map_err(|e| e.to_string())?;
+    let sections = contents.sections.len();
+    match <[(String, SampleSet); 1]>::try_from(contents.sections) {
+        Ok([(_, samples)]) => Ok((contents.meta, samples)),
+        Err(_) => Err(format!("holds {sections} sample sections, expected 1")),
+    }
+}
+
 /// What the journal scan found on open.
 #[derive(Debug)]
 pub struct WalScan {
     /// Whole, checksum-verified records in file order.
     pub records: Vec<WalRecord>,
-    /// `(valid_records, dropped_bytes)` when a torn or corrupt tail was
-    /// cut off.
+    /// `(valid_records, dropped_bytes)` when a torn tail was cut off.
     pub truncated: Option<(usize, u64)>,
 }
 
@@ -165,10 +281,31 @@ fn io_err(context: &str, e: std::io::Error) -> ServeError {
     ServeError::Protocol(format!("{context}: {e}"))
 }
 
+fn unreadable(path: &Path, reason: impl Into<String>) -> ServeError {
+    ServeError::Unreadable {
+        path: path.to_path_buf(),
+        reason: reason.into(),
+    }
+}
+
+/// The header every journal of this version starts with.
+fn wal_header() -> [u8; WAL_HEADER_LEN as usize] {
+    let mut header = [0u8; WAL_HEADER_LEN as usize];
+    header[..8].copy_from_slice(WAL_MAGIC);
+    header[8..].copy_from_slice(&WAL_VERSION.to_be_bytes());
+    header
+}
+
 impl Wal {
     /// Opens (or creates) the journal at `path`, scanning every record
-    /// and truncating a torn or corrupt tail back to the last whole
-    /// record. The scan result reports what was kept and what was cut.
+    /// and truncating a torn tail back to the last whole record. The
+    /// scan result reports what was kept and what was cut.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Unreadable`], with the file left untouched, for a
+    /// journal of another version, a file that is not a journal, or a
+    /// checksum-valid record whose payload does not decode.
     pub fn open(path: &Path) -> Result<(Wal, WalScan), ServeError> {
         let mut file = OpenOptions::new()
             .read(true)
@@ -181,61 +318,51 @@ impl Wal {
         file.read_to_end(&mut bytes)
             .map_err(|e| io_err(&format!("cannot read journal {}", path.display()), e))?;
 
-        let mut records = Vec::new();
-        let mut valid_end = WAL_HEADER_LEN;
+        let header = wal_header();
         let total = bytes.len() as u64;
-        let header_ok = bytes.len() >= WAL_HEADER_LEN as usize
-            && &bytes[..8] == WAL_MAGIC
-            && u32::from_be_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) == WAL_VERSION;
-        if header_ok {
-            let mut pos = WAL_HEADER_LEN as usize;
-            loop {
-                let Some(record) = read_record(&bytes, pos) else {
-                    break;
-                };
-                pos += WAL_FRAME_LEN as usize + record.1;
-                records.push(record.0);
-                valid_end = pos as u64;
-            }
-        } else if bytes.is_empty() {
-            // Fresh journal: write the header.
-            file.write_all(WAL_MAGIC)
-                .and_then(|()| file.write_all(&WAL_VERSION.to_be_bytes()))
-                .and_then(|()| file.sync_data())
-                .map_err(|e| io_err("cannot initialize journal", e))?;
-            return Ok((
-                Wal {
-                    file,
-                    len: WAL_HEADER_LEN,
-                    path: path.to_path_buf(),
-                },
-                WalScan {
-                    records,
-                    truncated: None,
-                },
-            ));
-        } else {
-            // A short or foreign header: nothing is trustworthy. Reset
-            // to an empty journal and report everything as dropped.
+        if total < WAL_HEADER_LEN && header.starts_with(&bytes) {
+            // Empty, or a header whose creation the crash tore: no record
+            // can follow it, so (re)writing the header loses nothing.
             file.set_len(0)
                 .and_then(|()| file.seek(SeekFrom::Start(0)).map(|_| ()))
-                .and_then(|()| file.write_all(WAL_MAGIC))
-                .and_then(|()| file.write_all(&WAL_VERSION.to_be_bytes()))
+                .and_then(|()| file.write_all(&header))
                 .and_then(|()| file.sync_data())
-                .map_err(|e| io_err("cannot reset damaged journal header", e))?;
-            return Ok((
-                Wal {
-                    file,
-                    len: WAL_HEADER_LEN,
-                    path: path.to_path_buf(),
-                },
-                WalScan {
-                    records,
-                    truncated: Some((0, total)),
-                },
+                .map_err(|e| io_err("cannot initialize journal", e))?;
+            let truncated = (total > 0).then_some((0, total));
+            let wal = Wal {
+                file,
+                len: WAL_HEADER_LEN,
+                path: path.to_path_buf(),
+            };
+            let scan = WalScan {
+                records: Vec::new(),
+                truncated,
+            };
+            return Ok((wal, scan));
+        }
+        if !bytes.starts_with(WAL_MAGIC) {
+            return Err(unreadable(path, "not a journal (no SPIREWAL magic)"));
+        }
+        if !bytes.starts_with(&header) {
+            let version = match bytes.get(8..12) {
+                Some(v) => u32::from_be_bytes(v.try_into().expect("4-byte slice")).to_string(),
+                None => "unknown (torn header)".to_owned(),
+            };
+            return Err(unreadable(
+                path,
+                format!(
+                    "journal format version {version} (this build reads version {WAL_VERSION})"
+                ),
             ));
         }
 
+        let mut records = Vec::new();
+        let mut pos = WAL_HEADER_LEN as usize;
+        while let Some((record, len)) = read_record(&bytes, pos).map_err(|e| unreadable(path, e))? {
+            pos += WAL_FRAME_LEN as usize + len;
+            records.push(record);
+        }
+        let valid_end = pos as u64;
         let truncated = if valid_end < total {
             file.set_len(valid_end)
                 .and_then(|()| file.sync_data())
@@ -244,8 +371,6 @@ impl Wal {
         } else {
             None
         };
-        file.seek(SeekFrom::Start(valid_end))
-            .map_err(|e| io_err("cannot seek journal", e))?;
         Ok((
             Wal {
                 file,
@@ -262,20 +387,16 @@ impl Wal {
     /// as `Err(Err(_))` and the caller must poison the state.
     #[allow(clippy::result_large_err)]
     pub fn append(&mut self, record: &WalRecord) -> Result<(), Result<ServeError, ServeError>> {
-        let payload = serde_json::to_string(record).map_err(|e| {
-            Ok(ServeError::Protocol(format!(
-                "cannot serialize record: {e}"
-            )))
-        })?;
-        let payload = payload.as_bytes();
+        let payload = record.encode().map_err(|e| Ok(ServeError::Protocol(e)))?;
         let prev = self.len;
         let result = (|| -> std::io::Result<()> {
             let len = u32::try_from(payload.len()).map_err(|_| {
                 std::io::Error::new(std::io::ErrorKind::InvalidInput, "record exceeds u32 bytes")
             })?;
+            self.file.seek(SeekFrom::Start(prev))?;
             self.file.write_all(&len.to_be_bytes())?;
-            self.file.write_all(&fnv1a64(payload).to_be_bytes())?;
-            self.file.write_all(payload)?;
+            self.file.write_all(&fnv1a64(&payload).to_be_bytes())?;
+            self.file.write_all(&payload)?;
             self.file.sync_data()
         })();
         match result {
@@ -284,11 +405,7 @@ impl Wal {
                 Ok(())
             }
             Err(e) => {
-                let rollback = self
-                    .file
-                    .set_len(prev)
-                    .and_then(|()| self.file.seek(SeekFrom::Start(prev)).map(|_| ()))
-                    .and_then(|()| self.file.sync_data());
+                let rollback = self.file.set_len(prev).and_then(|()| self.file.sync_data());
                 let append_err = io_err(
                     &format!("cannot append to journal {}", self.path.display()),
                     e,
@@ -307,11 +424,13 @@ impl Wal {
     pub fn reset(&mut self) -> Result<(), ServeError> {
         self.file
             .set_len(WAL_HEADER_LEN)
-            .and_then(|()| self.file.seek(SeekFrom::Start(WAL_HEADER_LEN)).map(|_| ()))
-            .and_then(|()| self.file.sync_data())
             .map_err(|e| io_err("cannot reset journal", e))?;
+        // The records are gone whether or not the fsync below succeeds;
+        // the next append writes at the header's end either way.
         self.len = WAL_HEADER_LEN;
-        Ok(())
+        self.file
+            .sync_data()
+            .map_err(|e| io_err("cannot fsync reset journal", e))
     }
 
     /// Fsyncs the journal (the shutdown drain's last act).
@@ -333,24 +452,32 @@ impl Wal {
 }
 
 /// Decodes the record starting at `pos`, returning it and its payload
-/// length — or `None` for anything short, corrupt, or unparseable (the
-/// truncation point).
-fn read_record(bytes: &[u8], pos: usize) -> Option<(WalRecord, usize)> {
-    let frame = bytes.get(pos..pos + WAL_FRAME_LEN as usize)?;
+/// length — or `Ok(None)` for a frame that is short, oversize, or fails
+/// its checksum: the torn tail, where truncation starts.
+///
+/// A payload that passes the checksum but does not decode cannot be a
+/// torn write, so it is an error rather than a truncation point.
+fn read_record(bytes: &[u8], pos: usize) -> Result<Option<(WalRecord, usize)>, String> {
+    let Some(frame) = bytes.get(pos..pos + WAL_FRAME_LEN as usize) else {
+        return Ok(None);
+    };
     let len = u32::from_be_bytes([frame[0], frame[1], frame[2], frame[3]]) as usize;
     if len > MAX_RECORD_LEN {
-        return None;
+        return Ok(None);
     }
     let checksum = u64::from_be_bytes([
         frame[4], frame[5], frame[6], frame[7], frame[8], frame[9], frame[10], frame[11],
     ]);
-    let payload = bytes.get(pos + WAL_FRAME_LEN as usize..pos + WAL_FRAME_LEN as usize + len)?;
+    let start = pos + WAL_FRAME_LEN as usize;
+    let Some(payload) = bytes.get(start..start + len) else {
+        return Ok(None);
+    };
     if fnv1a64(payload) != checksum {
-        return None;
+        return Ok(None);
     }
-    let text = std::str::from_utf8(payload).ok()?;
-    let record: WalRecord = serde_json::from_str(text).ok()?;
-    Some((record, len))
+    let record = WalRecord::decode(payload)
+        .map_err(|e| format!("the checksum-valid record at byte {pos} does not decode: {e}"))?;
+    Ok(Some((record, len)))
 }
 
 /// A remembered keyed commit, for retry deduplication.
@@ -468,6 +595,16 @@ impl UpdateState {
                 e,
             )
         })?;
+        let legacy_checkpoint = settings.legacy_checkpoint_path(model_name);
+        if legacy_checkpoint.exists() {
+            return Err(unreadable(
+                &legacy_checkpoint,
+                format!(
+                    "a JSON checkpoint from journal format version 1 (this build reads \
+                     version {WAL_VERSION})"
+                ),
+            ));
+        }
 
         // Anchor: pin the config the whole delta chain trains under.
         let base_path = settings.base_path(model_name);
@@ -491,21 +628,12 @@ impl UpdateState {
 
         // Checkpoint: fold in compacted history.
         let checkpoint_path = settings.checkpoint_path(model_name);
-        if checkpoint_path.exists() {
-            let text = std::fs::read_to_string(&checkpoint_path)
+        // Only a file can be a checkpoint: anything else at the path was
+        // never written by a successful compaction.
+        if checkpoint_path.is_file() {
+            let bytes = std::fs::read(&checkpoint_path)
                 .map_err(|e| io_err(&format!("cannot read {}", checkpoint_path.display()), e))?;
-            let cp: WalCheckpoint = serde_json::from_str(&text).map_err(|e| {
-                ServeError::Protocol(format!(
-                    "damaged checkpoint {}: {e}",
-                    checkpoint_path.display()
-                ))
-            })?;
-            if cp.format_version != SNAPSHOT_FORMAT_VERSION {
-                return Err(ServeError::Protocol(format!(
-                    "unsupported checkpoint format version {}",
-                    cp.format_version
-                )));
-            }
+            let cp = decode_checkpoint(&bytes).map_err(|e| unreadable(&checkpoint_path, e))?;
             trainer.push_batch(&cp.samples);
             trainer
                 .commit()
@@ -758,36 +886,39 @@ impl UpdateState {
 
     /// Compacts once enough records accumulated: checkpoint written
     /// atomically first, journal reset second — a crash between the two
-    /// is safe because replay skips records the checkpoint covers. A
-    /// failed checkpoint write only defers compaction to the next
-    /// commit; it never loses data.
+    /// is safe because replay skips records the checkpoint covers.
+    /// `wal_compacted` is emitted only when both steps succeed. A failed
+    /// step emits a `note` carrying the error and leaves the record count
+    /// standing, so the next commit retries; it never loses data.
     fn maybe_compact(&mut self, ctx: &RunContext) {
         if self.records_since_checkpoint < self.settings.compact_records.max(1) {
             return;
         }
-        let checkpoint = WalCheckpoint {
-            format_version: SNAPSHOT_FORMAT_VERSION,
-            seq: self.seq,
-            fingerprint: self.head.fingerprint(),
-            samples: self.trainer.samples().clone(),
-        };
-        let json = match serde_json::to_string(&checkpoint) {
-            Ok(json) => json,
-            Err(_) => return,
-        };
         let path = self.settings.checkpoint_path(&self.model_name);
-        if write_atomic(&path, &json).is_err() {
-            return;
+        let compacted =
+            encode_checkpoint(self.seq, &self.head.fingerprint(), self.trainer.samples())
+                .and_then(|image| {
+                    write_atomic_bytes(&path, &image)
+                        .map_err(|e| format!("cannot write checkpoint {}: {e}", path.display()))
+                })
+                .and_then(|()| self.wal.reset().map_err(|e| e.to_string()));
+        match compacted {
+            Ok(()) => {
+                ctx.emit(Event::WalCompacted {
+                    model: self.model_name.clone(),
+                    seq: self.seq,
+                    records: self.records_since_checkpoint,
+                });
+                self.records_since_checkpoint = 0;
+            }
+            Err(e) => ctx.note(
+                "wal-compact",
+                format!(
+                    "compaction of {} at seq {} deferred: {e}",
+                    self.model_name, self.seq
+                ),
+            ),
         }
-        let records = self.records_since_checkpoint;
-        if self.wal.reset().is_ok() {
-            self.records_since_checkpoint = 0;
-        }
-        ctx.emit(Event::WalCompacted {
-            model: self.model_name.clone(),
-            seq: self.seq,
-            records,
-        });
     }
 }
 
@@ -808,11 +939,62 @@ fn remember(dedup: &mut VecDeque<DedupEntry>, record: &WalRecord, window: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spire_core::pipeline::PipelineConfig;
+    use spire_core::pipeline::{CollectingSink, PipelineConfig};
     use spire_core::Sample;
 
     fn ctx() -> RunContext {
         RunContext::new(PipelineConfig::default())
+    }
+
+    fn collecting_ctx() -> (RunContext, std::sync::Arc<CollectingSink>) {
+        let sink = std::sync::Arc::new(CollectingSink::new());
+        (ctx().with_sink(sink.clone()), sink)
+    }
+
+    /// How many events of `kind` the sink collected.
+    fn kinds(sink: &CollectingSink, kind: &str) -> usize {
+        sink.events().iter().filter(|e| e.kind() == kind).count()
+    }
+
+    fn open_state(
+        settings: &WalSettings,
+        ctx: &RunContext,
+    ) -> Result<(UpdateState, Option<(SpireModel, String)>), ServeError> {
+        UpdateState::open(
+            "m",
+            &TrainConfig::default(),
+            TrainStrictness::Lenient,
+            settings,
+            None,
+            ctx,
+        )
+    }
+
+    /// Commits `batch(salt, 6)` for each salt, returning the acks'
+    /// fingerprints.
+    fn commit(
+        state: &mut UpdateState,
+        salts: std::ops::Range<u64>,
+        ctx: &RunContext,
+    ) -> Vec<String> {
+        salts
+            .map(|salt| {
+                let b = batch(salt, 6);
+                let json = serde_json::to_string(&b).unwrap();
+                state
+                    .apply_update(&b, &json, None, ctx)
+                    .unwrap()
+                    .fingerprint
+            })
+            .collect()
+    }
+
+    fn retrain(salts: std::ops::Range<u64>) -> SpireModel {
+        let mut merged = SampleSet::new();
+        for salt in salts {
+            merged.merge(batch(salt, 6));
+        }
+        SpireModel::train(&merged, TrainConfig::default()).unwrap()
     }
 
     fn batch(salt: u64, n: usize) -> SampleSet {
@@ -915,6 +1097,7 @@ mod tests {
         // Tear the last record in half.
         let bytes = std::fs::read(&wal_path).unwrap();
         std::fs::write(&wal_path, &bytes[..bytes.len() - 40]).unwrap();
+        let (ctx, sink) = collecting_ctx();
         let (state, recovered) = UpdateState::open(
             "m",
             &config,
@@ -925,6 +1108,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(state.seq(), 2, "the torn third record must be dropped");
+        assert_eq!(kinds(&sink, "wal_truncated"), 1);
+        assert!(std::fs::metadata(&wal_path).unwrap().len() < bytes.len() as u64 - 40);
         let (model, _) = recovered.unwrap();
         let mut merged = SampleSet::new();
         merged.merge(batch(0, 6));
@@ -1107,6 +1292,147 @@ mod tests {
         let json = serde_json::to_string(&b).unwrap();
         let err = state.apply_update(&b, &json, None, &ctx).unwrap_err();
         assert!(err.to_string().contains("test poison"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_1_journal_and_checkpoint_are_refused_untouched() {
+        let dir = temp_dir("v1");
+        let settings = WalSettings::new(&dir);
+        let ctx = ctx();
+        let wal_path = settings.wal_path("m");
+        // A version-1 journal: the old header and one JSON record frame.
+        let payload = br#"{"seq":1,"key":null,"batch_fingerprint":"00"}"#;
+        let mut v1 = WAL_MAGIC.to_vec();
+        v1.extend_from_slice(&1u32.to_be_bytes());
+        v1.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        v1.extend_from_slice(&fnv1a64(payload).to_be_bytes());
+        v1.extend_from_slice(payload);
+        // Whole, torn after its header, and reset by a compaction.
+        for journal in [&v1[..], &v1[..20], &v1[..WAL_HEADER_LEN as usize]] {
+            std::fs::write(&wal_path, journal).unwrap();
+            let err = open_state(&settings, &ctx).unwrap_err();
+            assert!(
+                matches!(&err, ServeError::Unreadable { path, .. } if *path == wal_path),
+                "{err}"
+            );
+            assert!(err.to_string().contains("version 1"), "{err}");
+            assert_eq!(std::fs::read(&wal_path).unwrap(), journal);
+        }
+
+        // A file that is not a journal at all is refused too.
+        std::fs::write(&wal_path, b"not a journal, but someone's bytes").unwrap();
+        let err = open_state(&settings, &ctx).unwrap_err();
+        assert!(err.to_string().contains("not a journal"), "{err}");
+        assert_eq!(
+            std::fs::read(&wal_path).unwrap(),
+            b"not a journal, but someone's bytes"
+        );
+
+        // A version-1 JSON checkpoint is named before the journal is read.
+        let legacy = settings.legacy_checkpoint_path("m");
+        std::fs::write(&legacy, r#"{"format_version":1,"seq":4}"#).unwrap();
+        let err = open_state(&settings, &ctx).unwrap_err();
+        assert!(
+            matches!(&err, ServeError::Unreadable { path, .. } if *path == legacy),
+            "{err}"
+        );
+        assert_eq!(
+            std::fs::read_to_string(&legacy).unwrap(),
+            r#"{"format_version":1,"seq":4}"#
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checksum_valid_record_that_does_not_decode_is_refused_not_truncated() {
+        let dir = temp_dir("reframed");
+        let settings = WalSettings::new(&dir);
+        let ctx = ctx();
+        {
+            let (mut state, _) = open_state(&settings, &ctx).unwrap();
+            commit(&mut state, 0..3, &ctx);
+        }
+        let wal_path = settings.wal_path("m");
+        let mut bytes = std::fs::read(&wal_path).unwrap();
+        // Edit the second record's colfile magic, then recompute its
+        // frame checksum: no torn write can look like this.
+        let first_len = u32::from_be_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let second = 12 + 12 + first_len;
+        let len = u32::from_be_bytes(bytes[second..second + 4].try_into().unwrap()) as usize;
+        let payload = second + 12..second + 12 + len;
+        bytes[payload.start] = b'X';
+        let checksum = fnv1a64(&bytes[payload]);
+        bytes[second + 4..second + 12].copy_from_slice(&checksum.to_be_bytes());
+        std::fs::write(&wal_path, &bytes).unwrap();
+
+        let (ctx, sink) = collecting_ctx();
+        let err = open_state(&settings, &ctx).unwrap_err();
+        assert!(
+            matches!(&err, ServeError::Unreadable { path, .. } if *path == wal_path),
+            "{err}"
+        );
+        assert!(err.to_string().contains("does not decode"), "{err}");
+        assert_eq!(kinds(&sink, "wal_truncated"), 0);
+        assert_eq!(
+            std::fs::read(&wal_path).unwrap(),
+            bytes,
+            "journal was modified"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_compaction_reports_a_note_and_keeps_the_journal() {
+        let dir = temp_dir("compact-fail");
+        let mut settings = WalSettings::new(&dir);
+        settings.compact_records = 2;
+        // Occupy the checkpoint path so the atomic rename must fail.
+        std::fs::create_dir_all(settings.checkpoint_path("m")).unwrap();
+        let (ctx, sink) = collecting_ctx();
+        let fingerprints = {
+            let (mut state, _) = open_state(&settings, &ctx).unwrap();
+            commit(&mut state, 0..3, &ctx)
+        };
+        assert_eq!(kinds(&sink, "wal_compacted"), 0);
+        let notes: Vec<String> = sink
+            .events()
+            .iter()
+            .filter(|e| e.kind() == "note")
+            .map(Event::render)
+            .collect();
+        assert_eq!(notes.len(), 2, "records 2 and 3 each try: {notes:?}");
+        assert!(notes.iter().all(|n| n.contains("deferred")), "{notes:?}");
+
+        // Every record is still in the journal, and recovery is exact.
+        let (_, scan) = Wal::open(&settings.wal_path("m")).unwrap();
+        assert_eq!(scan.records.len(), 3);
+        assert!(scan.truncated.is_none());
+        let (state, recovered) = open_state(&settings, &ctx).unwrap();
+        assert_eq!(state.seq(), 3);
+        let (model, fp) = recovered.unwrap();
+        assert_eq!(fp, fingerprints[2]);
+        assert_eq!(model, retrain(0..3));
+        drop(state);
+
+        // Once the path is free, the next commit compacts all four.
+        std::fs::remove_dir(settings.checkpoint_path("m")).unwrap();
+        let (ctx, sink) = collecting_ctx();
+        let (mut state, _) = open_state(&settings, &ctx).unwrap();
+        let last = commit(&mut state, 3..4, &ctx);
+        assert!(sink.events().iter().any(|e| matches!(
+            e,
+            Event::WalCompacted {
+                seq: 4,
+                records: 4,
+                ..
+            }
+        )));
+        drop(state);
+        let (state, recovered) = open_state(&settings, &ctx).unwrap();
+        assert_eq!(state.seq(), 4);
+        assert_eq!(recovered.unwrap().1, last[0]);
+        assert_eq!(state.model().unwrap(), &retrain(0..4));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -139,9 +139,9 @@ fn process_update_batch(shared: &ServerShared, batch: Vec<Job>) {
             Ok(Ok(ack)) => {
                 if ack.applied {
                     ModelCounters::bump(&slot.counters.updates);
-                    if let Some(model) = &ack.model {
+                    if let Some(model) = ack.model {
                         slot.install(ModelEntry {
-                            model: model.clone(),
+                            model,
                             fingerprint: ack.fingerprint.clone(),
                             machine: entry_machine.clone(),
                         });
