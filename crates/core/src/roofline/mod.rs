@@ -24,7 +24,7 @@ use serde::de::Deserializer;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{Result, SpireError};
-use crate::geometry::{self, ge_approx, Point};
+use crate::geometry::{self, ge_approx, Point, SortedPoints};
 use crate::sample::{MetricColumn, MetricId, Sample};
 
 /// Strategy for the region right of the apex.
@@ -374,29 +374,21 @@ impl PiecewiseRoofline {
             ));
         }
 
-        // Left region: hull from origin to the apex (the SoA kernel skips
-        // the infinite-intensity rows).
-        let left = geometry::upper_hull_from_origin_soa(intensities, throughputs);
+        // One sort of the finite points serves both regions (the
+        // infinite-intensity rows drop out there): the left region is the
+        // hull from the origin to the apex, the right region the Pareto
+        // front over the points at or beyond the apex.
+        let sorted = SortedPoints::from_columns(intensities, throughputs);
+        let left = sorted.upper_hull();
         let apex = *left.last().expect("hull always contains the origin");
-
-        // Right region: Pareto front over samples at or beyond the apex.
-        let mut right_points: Vec<Point> = intensities
-            .iter()
-            .zip(throughputs)
-            .filter(|(&i, _)| i.is_finite() && i >= apex.x)
-            .map(|(&i, &p)| Point::new(i, p))
-            .collect();
-        if right_points.is_empty() {
-            // Possible only when every finite sample has zero throughput
-            // and sits left of the apex; fall back to the apex alone.
-            right_points.push(apex);
-        }
         // `front` stays un-thinned (it seeds the online trainer's
         // incremental state, which must track the exact batch front);
         // thinning, when enabled, works on a copy for the fit itself.
         let front = {
-            let mut f = geometry::pareto_front(&right_points);
+            let mut f = sorted.pareto_front_from(apex.x);
             if f.is_empty() {
+                // Possible only when no finite sample sits at or beyond
+                // the apex; fall back to the apex alone.
                 f.push(apex);
             }
             f
@@ -425,11 +417,12 @@ impl PiecewiseRoofline {
             RightFitMode::Auto => {
                 // Judge the trend on points strictly beyond the apex: the
                 // apex itself is the maximum by construction and would bias
-                // the correlation negative.
-                let beyond: Vec<Point> = right_points
+                // the correlation negative. The sums run in sample order.
+                let beyond: Vec<Point> = intensities
                     .iter()
-                    .copied()
-                    .filter(|p| p.x > apex.x)
+                    .zip(throughputs)
+                    .filter(|(&i, _)| i.is_finite() && i > apex.x)
+                    .map(|(&i, &p)| Point::new(i, p))
                     .collect();
                 beyond.len() >= 3 && right_trend(&beyond) <= options.auto_trend_threshold
             }
