@@ -55,7 +55,7 @@ impl Engine {
     ///
     /// Panics if training fails (experiment corpora are never empty).
     pub fn train(&self, dataset: &Dataset) -> SpireModel {
-        let merged = build(&self.ctx, dataset).expect("merging is infallible");
+        let merged = build(&self.ctx, dataset.clone()).expect("merging is infallible");
         train(&self.ctx, &merged)
             .expect("experiment corpus trains")
             .model

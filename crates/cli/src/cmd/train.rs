@@ -66,7 +66,15 @@ pub(crate) fn run(args: &Args) -> CmdResult {
     };
     // Normalization scales each sample on its own, so normalizing the
     // merged set equals merging the normalized per-workload sets.
-    let peaks = dataset.machine().filter(|_| normalize).map(|m| &m.peaks);
+    let peaks = dataset
+        .machine()
+        .filter(|_| normalize)
+        .map(|m| m.peaks.clone());
+    // `build` consumes the dataset, so take what the snapshot and the
+    // summary need from it first.
+    let mut provenance = dataset.provenance(Some(data_path));
+    provenance.machine = machine.clone();
+    let total_samples = dataset.total_samples();
     let outcome = if args.flag("incremental") {
         let mut trainer = OnlineTrainer::new(
             runner.ctx.config.train.clone(),
@@ -74,7 +82,7 @@ pub(crate) fn run(args: &Args) -> CmdResult {
         )?;
         let mut last = None;
         for (label, set) in dataset.iter() {
-            let set = match peaks {
+            let set = match &peaks {
                 Some(peaks) => Cow::Owned(normalize_set(set, peaks)),
                 None => Cow::Borrowed(set),
             };
@@ -94,16 +102,14 @@ pub(crate) fn run(args: &Args) -> CmdResult {
             fit_notices: last.fit_notices,
         }
     } else {
-        let merged = build(&runner.ctx, &dataset)?;
-        let merged = match peaks {
+        let merged = build(&runner.ctx, dataset)?;
+        let merged = match &peaks {
             Some(peaks) => normalize_set(&merged, peaks),
             None => merged,
         };
         train(&runner.ctx, &merged)?
     };
     writeln!(log, "{}", outcome.report.to_table(10))?;
-    let mut provenance = dataset.provenance(Some(data_path));
-    provenance.machine = machine.clone();
     let snapshot = ModelSnapshot::from_model(&outcome.model)?
         .with_provenance(provenance)
         .with_train_report(outcome.report.clone());
@@ -118,13 +124,13 @@ pub(crate) fn run(args: &Args) -> CmdResult {
         log,
         "trained {} metric rooflines from {} samples",
         outcome.model.metric_count(),
-        dataset.total_samples()
+        total_samples
     )?;
     let result = json::obj(vec![
         ("data", json::s(data_path)),
         ("snapshot_out", json::s(snapshot_path)),
         ("metrics", json::u(outcome.model.metric_count())),
-        ("samples", json::u(dataset.total_samples())),
+        ("samples", json::u(total_samples)),
         ("machine", json::machine(machine.as_ref())),
         ("normalized", Content::Bool(normalize)),
         ("report", serde::to_content(&outcome.report)),

@@ -140,6 +140,8 @@ pub(crate) fn run(args: &Args) -> CmdResult {
     log.push_str(&warn);
     let warn = check_machine(&runner, "update", base.machine(), dataset.machine())?;
     log.push_str(&warn);
+    let provenance = dataset.provenance(Some(data_path));
+    let data_machine = dataset.machine().cloned();
     let mut last = update(&runner.ctx, &mut trainer, &dataset.merged())?;
     writeln!(
         log,
@@ -170,7 +172,7 @@ pub(crate) fn run(args: &Args) -> CmdResult {
 
     let model = seeded_model(&trainer)?;
     let updated = ModelSnapshot::from_model(model)?
-        .with_provenance(dataset.provenance(Some(data_path)))
+        .with_provenance(provenance)
         .with_train_report(last.report.clone());
     if let Some(path) = snapshot_out {
         write_atomic(Path::new(path), &updated.to_json())?;
@@ -206,7 +208,7 @@ pub(crate) fn run(args: &Args) -> CmdResult {
         ("update", serde::to_content(&last.update)),
         (
             "machine",
-            json::machine_pair(base.machine(), dataset.machine()),
+            json::machine_pair(base.machine(), data_machine.as_ref()),
         ),
     ]);
     runner.finish(args, "update", log, result)

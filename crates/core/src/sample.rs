@@ -646,9 +646,15 @@ impl SampleSet {
     }
 
     /// Merges another sample set into this one, appending each of its
-    /// columns to the matching metric group.
+    /// columns to the matching metric group (a column move when the
+    /// metric is new here). The result equals pushing `other`'s rows one
+    /// by one: an empty column, which only a decoded column file can
+    /// carry, adds no group.
     pub fn merge(&mut self, other: SampleSet) {
         for col in other.columns {
+            if col.is_empty() {
+                continue;
+            }
             self.len += col.len();
             match self
                 .columns
@@ -871,6 +877,16 @@ mod tests {
         assert_eq!(a.len(), 3);
         assert_eq!(a.column(&"a".into()).unwrap().times(), &[1.0, 2.0]);
         assert_eq!(a.column(&"b".into()).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn merge_adds_no_group_for_an_empty_column() {
+        let empty = MetricColumn::new("z".into());
+        let b = SampleSet::from_columns(vec![empty]).unwrap();
+        let mut a = SampleSet::new();
+        a.merge(b);
+        assert_eq!(a, SampleSet::new());
+        assert_eq!(a.metrics().count(), 0);
     }
 
     #[test]

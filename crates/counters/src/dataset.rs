@@ -166,12 +166,17 @@ impl Dataset {
         self.entries.values().map(SampleSet::len).sum()
     }
 
-    /// Merges every entry into one combined sample set (the shape
-    /// [`spire_core::SpireModel::train`] consumes).
-    pub fn merged(&self) -> SampleSet {
+    /// Merges every entry, in label order, into one combined sample set
+    /// (the shape [`spire_core::SpireModel::train`] consumes).
+    ///
+    /// Each entry's columns move into the result ([`SampleSet::merge`]),
+    /// so no row is copied one by one and a one-label dataset is just its
+    /// set. Rows keep their order within each metric: label order, then
+    /// each entry's own row order.
+    pub fn merged(self) -> SampleSet {
         let mut all = SampleSet::new();
-        for set in self.entries.values() {
-            all.extend(set.iter());
+        for set in self.entries.into_values() {
+            all.merge(set);
         }
         all
     }
@@ -377,7 +382,14 @@ mod tests {
         let mut d = Dataset::new();
         d.insert("a", set(3));
         d.insert("b", set(4));
-        assert_eq!(d.merged().len(), 7);
+        let mut c = set(2);
+        c.push(Sample::new("a_first", 2.0, 1.0, 1.0).unwrap());
+        d.insert("c", c);
+        // Row by row, in label order: the order training relies on.
+        let rows: SampleSet = d.iter().flat_map(|(_, s)| s.iter()).collect();
+        let merged = d.merged();
+        assert_eq!(merged.len(), 10);
+        assert_eq!(merged, rows);
     }
 
     #[test]

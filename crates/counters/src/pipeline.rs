@@ -95,15 +95,18 @@ fn line_count(text: &str) -> usize {
 }
 
 /// The `build` stage: merges every workload of `dataset`, in label order,
-/// into one training set ([`Dataset::merged`]).
+/// into one training set ([`Dataset::merged`]). The dataset's columns
+/// move into the set, so take what else it is needed for (provenance,
+/// machine peaks) before calling this.
 ///
 /// # Errors
 ///
 /// Never fails; the `Result` keeps every step's signature alike.
-pub fn build(ctx: &RunContext, dataset: &Dataset) -> spire_core::Result<SampleSet> {
+pub fn build(ctx: &RunContext, dataset: Dataset) -> spire_core::Result<SampleSet> {
+    let labels = dataset.len();
     ctx.stage(
         "build",
-        Some(dataset.len()),
+        Some(labels),
         || Ok(dataset.merged()),
         |merged| Some(merged.len()),
     )
@@ -227,7 +230,7 @@ mod tests {
             set.push(Sample::new(metric, 10.0, 5.0, 2.0).unwrap());
             dataset.insert(label, set);
         }
-        assert_eq!(build(&ctx, &dataset).unwrap(), dataset.merged());
+        assert_eq!(build(&ctx, dataset.clone()).unwrap(), dataset.merged());
         let events = sink.events();
         assert!(matches!(
             &events[1],

@@ -41,7 +41,7 @@ fn build_and_train(dataset: &Dataset, config: TrainConfig) -> TrainOutcome {
         train: config,
         ..PipelineConfig::default()
     });
-    train(&ctx, &build(&ctx, dataset).unwrap()).unwrap()
+    train(&ctx, &build(&ctx, dataset.clone()).unwrap()).unwrap()
 }
 
 #[test]
@@ -55,7 +55,7 @@ fn pipeline_artifacts_are_bit_identical_to_direct_api() {
 
         // Direct API path (the pre-refactor CLI/bench code path).
         let direct = SpireModel::train_with_report(
-            &dataset.merged(),
+            &dataset.clone().merged(),
             config.clone(),
             TrainStrictness::Lenient,
         )
@@ -103,7 +103,7 @@ fn serve_path_estimates_are_bit_identical_to_the_direct_api() {
     // reproduce `SpireModel::estimate` exactly, bit for bit.
     let dataset = fixture_dataset();
     let trained = SpireModel::train_with_report(
-        &dataset.merged(),
+        &dataset.clone().merged(),
         TrainConfig::default(),
         TrainStrictness::Lenient,
     )
