@@ -10,11 +10,13 @@
 //! (`online_equivalence.rs`), extended across a process boundary. A
 //! record the crash tore in half was by definition never acknowledged,
 //! so the replay truncates it (typed `wal_truncated` event, Warning)
-//! and loses nothing a client was promised. Anything else the daemon
-//! cannot read — a journal or checkpoint of another format version, or
-//! a record whose checksum holds but whose payload does not decode — is
-//! refused with [`ServeError::Unreadable`] and left byte-for-byte as it
-//! was.
+//! and loses nothing a client was promised. A crash tears only the
+//! last frame, so only a frame that runs to the end of the file is a
+//! torn tail. Anything else the daemon cannot read — a journal or
+//! checkpoint of another format version, a damaged frame with bytes
+//! after it, or a record whose checksum holds but whose payload does
+//! not decode — is refused with [`ServeError::Unreadable`] and left
+//! byte-for-byte as it was.
 //!
 //! ## On-disk layout (per model, under the configured WAL directory)
 //!
@@ -33,8 +35,11 @@
 //! - `<name>.checkpoint.spirecol` — compaction output ([`WalCheckpoint`]):
 //!   a colfile whose one section holds every committed sample, and whose
 //!   `meta` is the JSON of the format version, sequence number and model
-//!   fingerprint. Written with [`write_atomic_bytes`]; replay folds it in
-//!   first and skips journal records it already covers.
+//!   fingerprint. Written durably before the journal is reset (the
+//!   temporary file fsynced, renamed over the checkpoint, the directory
+//!   fsynced), so a power loss cannot leave the journal empty behind a
+//!   checkpoint that is missing or empty; replay folds it in first and
+//!   skips journal records it already covers.
 //! - `<name>.wal` — the journal: a 12-byte header (`SPIREWAL` magic +
 //!   big-endian u32 [`WAL_VERSION`]) followed by records framed as
 //!   `[u32 BE payload len][u64 BE fnv1a64(payload)][payload]`, reusing
@@ -66,9 +71,9 @@ use spire_core::colfile;
 use spire_core::pipeline::{Event, RunContext};
 use spire_core::snapshot::fnv1a64;
 use spire_core::{
-    write_atomic, write_atomic_bytes, MachineSpec, ModelSnapshot, OnlineTrainer, SampleSet,
-    SnapshotDelta, SnapshotMode, SnapshotProvenance, SpireModel, TrainConfig, TrainStrictness,
-    UpdateReport, SNAPSHOT_FORMAT_VERSION,
+    write_atomic, MachineSpec, ModelSnapshot, OnlineTrainer, SampleSet, SnapshotDelta,
+    SnapshotMode, SnapshotProvenance, SpireModel, TrainConfig, TrainStrictness, UpdateReport,
+    SNAPSHOT_FORMAT_VERSION,
 };
 
 use crate::ServeError;
@@ -304,7 +309,8 @@ impl Wal {
     /// # Errors
     ///
     /// [`ServeError::Unreadable`], with the file left untouched, for a
-    /// journal of another version, a file that is not a journal, or a
+    /// journal of another version, a file that is not a journal, a
+    /// damaged frame that does not run to the end of the file, or a
     /// checksum-valid record whose payload does not decode.
     pub fn open(path: &Path) -> Result<(Wal, WalScan), ServeError> {
         let mut file = OpenOptions::new()
@@ -452,32 +458,48 @@ impl Wal {
 }
 
 /// Decodes the record starting at `pos`, returning it and its payload
-/// length — or `Ok(None)` for a frame that is short, oversize, or fails
-/// its checksum: the torn tail, where truncation starts.
+/// length — or `Ok(None)` for the torn tail, where truncation starts: a
+/// frame whose header or payload is cut short by the end of the file, or
+/// one that declares an oversize length or fails its checksum and runs
+/// to the end of the file.
 ///
-/// A payload that passes the checksum but does not decode cannot be a
-/// torn write, so it is an error rather than a truncation point.
+/// A crash tears only the last frame, so a damaged frame with bytes after
+/// its declared extent is damage inside the journal, and truncating it
+/// would silently drop every acknowledged record behind it: it is an
+/// error. So is a payload that passes the checksum but does not decode,
+/// which no torn write can produce.
 fn read_record(bytes: &[u8], pos: usize) -> Result<Option<(WalRecord, usize)>, String> {
     let Some(frame) = bytes.get(pos..pos + WAL_FRAME_LEN as usize) else {
         return Ok(None);
     };
     let len = u32::from_be_bytes([frame[0], frame[1], frame[2], frame[3]]) as usize;
-    if len > MAX_RECORD_LEN {
-        return Ok(None);
-    }
     let checksum = u64::from_be_bytes([
         frame[4], frame[5], frame[6], frame[7], frame[8], frame[9], frame[10], frame[11],
     ]);
     let start = pos + WAL_FRAME_LEN as usize;
-    let Some(payload) = bytes.get(start..start + len) else {
-        return Ok(None);
+    let end = start + len;
+    let damage = if len > MAX_RECORD_LEN {
+        format!("declares an oversize payload of {len} bytes")
+    } else {
+        let Some(payload) = bytes.get(start..end) else {
+            return Ok(None);
+        };
+        if fnv1a64(payload) == checksum {
+            let record = WalRecord::decode(payload).map_err(|e| {
+                format!("the checksum-valid record at byte {pos} does not decode: {e}")
+            })?;
+            return Ok(Some((record, len)));
+        }
+        "fails its checksum".to_owned()
     };
-    if fnv1a64(payload) != checksum {
-        return Ok(None);
+    if end < bytes.len() {
+        return Err(format!(
+            "the record at byte {pos} {damage}, yet {} bytes follow it: \
+             damage inside the journal, not a torn tail",
+            bytes.len() - end
+        ));
     }
-    let record = WalRecord::decode(payload)
-        .map_err(|e| format!("the checksum-valid record at byte {pos} does not decode: {e}"))?;
-    Ok(Some((record, len)))
+    Ok(None)
 }
 
 /// A remembered keyed commit, for retry deduplication.
@@ -898,7 +920,7 @@ impl UpdateState {
         let compacted =
             encode_checkpoint(self.seq, &self.head.fingerprint(), self.trainer.samples())
                 .and_then(|image| {
-                    write_atomic_bytes(&path, &image)
+                    write_durable(&path, &image)
                         .map_err(|e| format!("cannot write checkpoint {}: {e}", path.display()))
                 })
                 .and_then(|()| self.wal.reset().map_err(|e| e.to_string()));
@@ -920,6 +942,31 @@ impl UpdateState {
             ),
         }
     }
+}
+
+/// Replaces `path` with `contents` so that both are on disk before the
+/// caller goes on: the bytes go to a temporary file that is fsynced, the
+/// file is renamed over `path`, and the directory is fsynced so the
+/// rename is too. The compaction checkpoint needs this because the
+/// journal records it covers are dropped right after.
+fn write_durable(path: &Path, contents: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp.{}", std::process::id()));
+    let tmp = PathBuf::from(tmp);
+    File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(contents)?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .inspect_err(|_| {
+            let _ = std::fs::remove_file(&tmp);
+        })?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
 }
 
 fn remember(dedup: &mut VecDeque<DedupEntry>, record: &WalRecord, window: usize) {
@@ -1379,6 +1426,54 @@ mod tests {
             bytes,
             "journal was modified"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn damaged_record_before_whole_records_is_refused_not_truncated() {
+        let dir = temp_dir("mid-damage");
+        let settings = WalSettings::new(&dir);
+        let ctx = ctx();
+        {
+            let (mut state, _) = open_state(&settings, &ctx).unwrap();
+            commit(&mut state, 0..3, &ctx);
+        }
+        let wal_path = settings.wal_path("m");
+        let mut bytes = std::fs::read(&wal_path).unwrap();
+        // Flip one payload byte of the second of three records.
+        let first_len = u32::from_be_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let second = 12 + 12 + first_len;
+        bytes[second + 12 + 40] ^= 0x01;
+        std::fs::write(&wal_path, &bytes).unwrap();
+
+        let (ctx, sink) = collecting_ctx();
+        let err = open_state(&settings, &ctx).unwrap_err();
+        assert!(
+            matches!(&err, ServeError::Unreadable { path, .. } if *path == wal_path),
+            "{err}"
+        );
+        assert!(err.to_string().contains("fails its checksum"), "{err}");
+        assert_eq!(kinds(&sink, "wal_truncated"), 0);
+        assert_eq!(
+            std::fs::read(&wal_path).unwrap(),
+            bytes,
+            "journal was modified"
+        );
+
+        // The same damage in the last record is a torn tail.
+        {
+            let mut last = bytes.clone();
+            last[second + 12 + 40] ^= 0x01;
+            let second_len =
+                u32::from_be_bytes(last[second..second + 4].try_into().unwrap()) as usize;
+            let third = second + 12 + second_len;
+            last[third + 12 + 40] ^= 0x01;
+            std::fs::write(&wal_path, &last).unwrap();
+        }
+        let (ctx, sink) = collecting_ctx();
+        let (state, _) = open_state(&settings, &ctx).unwrap();
+        assert_eq!(state.seq(), 2);
+        assert_eq!(kinds(&sink, "wal_truncated"), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
