@@ -1,6 +1,8 @@
 //! Benchmarks for the roofline fitting algorithms: the Jarvis-march left
-//! fit, the Pareto front, the right-region fit (fast topological-DP path
-//! vs. the retained graph/Dijkstra reference), and per-sample estimation.
+//! fit, the Pareto front, whole-roofline fits (including perfbench-shaped
+//! metric columns through the columnar path training takes), the
+//! right-region fit (fast topological-DP path vs. the retained
+//! graph/Dijkstra reference), and per-sample estimation.
 //!
 //! Besides the criterion-style groups, `main` runs a timed head-to-head of
 //! `fit_right_front` against `roofline::reference::fit_right` on synthetic
@@ -37,6 +39,21 @@ fn synthetic_samples(n: usize, seed: u64) -> Vec<Sample> {
             Sample::new("bench", t, p * t, p * t / intensity).unwrap()
         })
         .collect()
+}
+
+/// One perfbench-shaped metric column: log-uniform intensity over
+/// 0.5–2000 against per-interval cycles and instructions (IPC 0.4–3.0),
+/// the noisy narrow metric the benchmark's pipeline trains 424 of.
+fn perfbench_column(n: usize, seed: u64) -> SampleSet {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut set = SampleSet::new();
+    for _ in 0..n {
+        let cycles: f64 = 2.0e9 * rng.gen_range(0.9..1.1);
+        let instructions = cycles * rng.gen_range(0.4..3.0);
+        let intensity = 0.5 * (rng.gen::<f64>() * 4000f64.ln()).exp();
+        set.push(Sample::new("bench", cycles, instructions, instructions / intensity).unwrap());
+    }
+    set
 }
 
 fn points_of(samples: &[Sample]) -> Vec<Point> {
@@ -110,6 +127,17 @@ fn bench_roofline_fit(c: &mut Criterion) {
         };
         group.bench_with_input(BenchmarkId::new("plateau", n), &samples, |b, s| {
             b.iter(|| PiecewiseRoofline::fit("bench".into(), s.iter(), &plateau).unwrap());
+        });
+    }
+    // The columnar path training takes, on the traffic perfbench serves.
+    for n in [1_664usize, 3_072] {
+        let set = perfbench_column(n, 23);
+        let column = set.column(&MetricId::new("bench")).unwrap();
+        group.bench_with_input(BenchmarkId::new("perfbench_column", n), column, |b, c| {
+            b.iter(|| {
+                PiecewiseRoofline::fit_column(std::hint::black_box(c), &FitOptions::default())
+                    .unwrap()
+            });
         });
     }
     group.finish();
