@@ -4,8 +4,8 @@
 //!
 //! Seeds an [`OnlineTrainer`] with a wide staircase front per metric,
 //! then streams batches in which most samples are dominated (exact
-//! no-ops) and a rotating 10% of metrics extend their fronts (patched
-//! right-region refits) — the regime the maintenance layer is built for.
+//! no-ops) and a rotating 10% of metrics extend their fronts (full
+//! refits) — the regime the maintenance layer is built for.
 //! After the last batch the accumulated sample set is retrained from
 //! scratch. The gates on [`OnlineCase`] require the two models to be
 //! identical and the per-batch update to be cheaper than the retrain, on
@@ -116,7 +116,7 @@ fn seed_set(scale: &Scale, xs: &[f64], ys: &[f64], rng: &mut XorShift) -> Sample
 /// One streamed batch: per metric, `batch` samples below the front
 /// (exact no-ops), except that a rotating tenth of the metrics spend
 /// their last sample extending the front past its current maximum
-/// intensity (a patched right-region refit).
+/// intensity (a full refit).
 fn round_batch(
     scale: &Scale,
     round: usize,
@@ -167,6 +167,7 @@ fn main() {
     );
 
     let mut update_ms: Vec<f64> = Vec::with_capacity(scale.rounds);
+    let mut metrics_refit = 0usize;
     for round in 0..scale.rounds {
         let batch = round_batch(&scale, round, &xs, &ys, &mut rng);
         let (ms, outcome) = time_ms(|| {
@@ -174,6 +175,7 @@ fn main() {
             trainer.commit().expect("update commit")
         });
         update_ms.push(ms);
+        metrics_refit += outcome.update.refit_full.len();
         println!("round {round}: {} in {ms:.2} ms", outcome.update.summary());
     }
     let update_ms_total: f64 = update_ms.iter().sum();
@@ -214,6 +216,7 @@ fn main() {
             update_samples_per_sec,
             retrain_ms,
             speedup,
+            mean_metrics_refit: metrics_refit as f64 / scale.rounds as f64,
             models_match,
         },
         quick,

@@ -147,6 +147,9 @@ pub struct OnlineCase {
     pub update_samples_per_sec: f64,
     pub retrain_ms: f64,
     pub speedup: f64,
+    /// Metrics refitted per update, on average (ungated): the regime the
+    /// speedup was measured in.
+    pub mean_metrics_refit: f64,
     pub models_match: bool,
 }
 

@@ -103,11 +103,12 @@ COMMANDS:
             --data FILE [BATCH...]    snapshot: --data is the dataset the
             [--snapshot-out FILE]     snapshot was trained from, each
             [--out-delta FILE]        positional BATCH is a dataset of new
-            [--threads N] [--strict]  samples. Only metrics whose Pareto
-            [--via-server --addr A    front moved are refitted.
-             --model NAME             --snapshot-out writes the updated
-             [--retries N]            snapshot, --out-delta a delta with
-             [--timeout-ms MS]]       the changed records only (at least
+            [--threads N] [--strict]  samples. A metric is refitted from
+            [--via-server --addr A    its full column unless every new
+             --model NAME             sample is an exact no-op for its
+             [--retries N]            fit. --snapshot-out writes the updated
+             [--timeout-ms MS]]       snapshot, --out-delta a delta with
+                                      the changed records only (at least
                                       one of the two is required); both
                                       writes are atomic. --via-server
                                       streams the batches to a running

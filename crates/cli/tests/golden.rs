@@ -395,9 +395,9 @@ fn base_set() -> SampleSet {
     base
 }
 
-/// The extra batch: it raises `m_alpha`'s apex (a full refit), adds a
-/// point right of `m_gamma`'s apex (a right-region refit) and one below
-/// `m_front`'s front (unchanged). It pins the `update` stage's per-batch
+/// The extra batch: it raises `m_alpha`'s apex (a refit), adds a point
+/// right of `m_gamma`'s apex that extends its front (a refit too) and one
+/// below `m_front`'s front (unchanged). It pins the `update` stage's per-batch
 /// `model_refit`/`model_unchanged` ordering.
 fn extra_batch() -> SampleSet {
     let mut extra = SampleSet::new();

@@ -825,8 +825,7 @@ fn merge_estimates(
     // additionally catches all-zero (or NaN) measurement times under the
     // Unweighted strategy, where every sample still gets weight 1. Valid
     // samples always have `time > 0`, so this only fires for data that
-    // bypassed validation — deserialized workloads and snapshot-loaded
-    // paths included.
+    // bypassed validation, such as a column file's raw columns.
     if weight_total <= 0.0 || weight_total.is_nan() || total_time <= 0.0 || total_time.is_nan() {
         return Err(SpireError::DegenerateWeights {
             metric: column.metric().to_string(),
@@ -1096,13 +1095,11 @@ mod tests {
     #[test]
     fn zero_weight_workload_is_a_typed_error() {
         let model = SpireModel::train(&training(), TrainConfig::default()).unwrap();
-        // Zero times cannot be built through Sample::new; deserialization
-        // bypasses that validation, which is exactly the hole the typed
-        // error guards.
-        let wl: SampleSet = serde_json::from_str(
-            r#"{"samples":[{"metric":"stalls","time":0.0,"work":1.0,"metric_delta":1.0}]}"#,
-        )
-        .unwrap();
+        // Zero times cannot be built through Sample::new or JSON; raw
+        // columns bypass that validation, which is exactly the hole the
+        // typed error guards.
+        let mut wl = SampleSet::new();
+        wl.push_unchecked("stalls".into(), 0.0, 1.0, 1.0);
         match model.estimate(&wl).unwrap_err() {
             SpireError::DegenerateWeights { metric } => assert_eq!(metric, "stalls"),
             other => panic!("expected DegenerateWeights, got {other:?}"),
@@ -1325,10 +1322,8 @@ mod tests {
             ..TrainConfig::default()
         };
         let model = SpireModel::train(&training(), config).unwrap();
-        let wl: SampleSet = serde_json::from_str(
-            r#"{"samples":[{"metric":"stalls","time":0.0,"work":1.0,"metric_delta":1.0}]}"#,
-        )
-        .unwrap();
+        let mut wl = SampleSet::new();
+        wl.push_unchecked("stalls".into(), 0.0, 1.0, 1.0);
         match model.estimate(&wl).unwrap_err() {
             SpireError::DegenerateWeights { metric } => assert_eq!(metric, "stalls"),
             other => panic!("expected DegenerateWeights, got {other:?}"),

@@ -42,9 +42,10 @@ pub enum SpireError {
     /// estimate of Eq. (1) is undefined.
     ///
     /// Unreachable for sample sets built through
-    /// [`Sample::new`](crate::Sample::new), which requires strictly
-    /// positive times, but deserialized data bypasses that validation and
-    /// is surfaced here as an error rather than a `NaN` estimate.
+    /// [`Sample::new`](crate::Sample::new) or decoded from JSON, which
+    /// require strictly positive times, but a column file's raw columns
+    /// bypass that validation and are surfaced here as an error rather
+    /// than a `NaN` estimate.
     DegenerateWeights {
         /// Metric whose merge weights degenerate.
         metric: String,

@@ -4,32 +4,29 @@
 //! An [`OnlineTrainer`] accepts sample batches ([`OnlineTrainer::push_batch`])
 //! and, on [`OnlineTrainer::commit`], produces a model **bit-identical** to a
 //! batch retrain over every sample pushed so far — while refitting only the
-//! metrics whose fit inputs actually changed. Three mechanisms make the
-//! incremental path cheap without perturbing the result:
+//! metrics whose fit inputs actually changed. Each metric a batch touches
+//! lands in one of two classes:
 //!
-//! * **Dirty-front tracking.** Each trained metric keeps the intermediate
-//!   structures of its last fit (left hull, apex, un-thinned right-region
-//!   Pareto front, infinite-intensity tail height). New samples are
-//!   classified against them: a sample weakly dominated by the maintained
-//!   front is an exact no-op (`Clean`, checked in O(log k)); a sample right
-//!   of the apex that extends the front triggers a right-region-only refit
-//!   (`Right`); anything that could touch the left hull or apex falls back
-//!   to a full per-metric refit (`Full`).
-//! * **Patchable prefix sums.** The right-region fitter's `x/x²/y/y²/xy`
-//!   prefix sums (`PrefixSums`) are truncated and re-accumulated from the
-//!   insertion point only, replaying the same additions in the same order —
-//!   so a patched fit is bit-identical to a from-scratch one.
-//! * **Exact-or-refit classification.** Every classification that avoids a
-//!   refit is an *exact set-level no-op* (weak dominance, unchanged
-//!   infinite-intensity maximum) or an order-free exact aggregate. Anything
-//!   approximate — in particular samples at or left of the apex, whose
-//!   interaction with the tolerance-based hull walk is not exactly
-//!   predictable — conservatively refits. Equality with the batch path is
-//!   therefore structural, not a tolerance.
+//! * **`Clean`: an exact no-op.** Each trained metric keeps the apex, the
+//!   un-thinned right-region Pareto front and the `+∞`-intensity tail
+//!   height of its last fit. A finite sample strictly right of the apex and
+//!   weakly dominated by that front (checked in O(log k)) is one the batch
+//!   Pareto sweep would discard; a sample of `+∞` intensity that leaves the
+//!   running maximum's bits unchanged is one the batch fold would absorb.
+//!   Either way the fit is unchanged, and the commit only records the grown
+//!   sample count.
+//! * **`Full`: a refit.** Any other sample — one that extends the front,
+//!   raises the tail, sits at or left of the apex (where its interaction
+//!   with the tolerance-based hull walk is not exactly predictable), or
+//!   carries a NaN or −∞ intensity — makes the commit rerun the batch fit
+//!   over the metric's whole column.
 //!
-//! Commit mirrors the batch trainer's control flow exactly (skip ordering,
-//! quarantine flattening, strict-mode first-error, budget and empty checks),
-//! so reports, notices, and error behavior also match a batch retrain.
+//! Equality with the batch path is therefore structural, not a tolerance:
+//! a `Clean` metric's fit is provably the batch fit, and a `Full` metric
+//! runs it. Commit mirrors the batch trainer's control flow exactly (skip
+//! ordering, quarantine flattening, strict-mode first-error, budget and
+//! empty checks), so reports, notices, and error behavior also match a
+//! batch retrain.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -39,48 +36,18 @@ use crate::ensemble::{
     QuarantinedMetric, SpireModel, TrainConfig, TrainQuarantineReason, TrainReport, TrainStrictness,
 };
 use crate::error::{Result, SpireError};
-use crate::geometry::Point;
 use crate::parallel;
-use crate::roofline::{FitArtifacts, PiecewiseRoofline, PrefixSums, ThinningNotice};
+use crate::roofline::{FitArtifacts, PiecewiseRoofline, ThinningNotice};
 use crate::sample::{MetricColumn, MetricId, SampleSet};
 
 /// What the next commit must do for one metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Dirty {
     /// New samples (if any) were exact no-ops; only the recorded
     /// training-sample count needs patching.
     Clean,
-    /// The right-region inputs (Pareto front or infinite-intensity height)
-    /// changed; refit the right region from the maintained structures.
-    Right,
     /// The fit must be recomputed from the full column.
     Full,
-}
-
-/// The maintained incremental state of one metric's fit.
-#[derive(Debug, Clone)]
-enum Tracker {
-    /// Every sample so far had infinite intensity: the fit is a constant at
-    /// the running maximum throughput.
-    Constant { inf_height: f64 },
-    /// A Graph-mode fit with a non-degenerate apex, maintainable in place.
-    Fitted {
-        /// Left-hull knots, origin to apex (ascending intensity).
-        left: Vec<Point>,
-        /// The hull's apex (also the last front point).
-        apex: Point,
-        /// The un-thinned right-region Pareto front (descending intensity,
-        /// strictly increasing throughput, apex last).
-        front: Vec<Point>,
-        /// Prefix sums over `front`, kept in sync by patching.
-        sums: PrefixSums,
-        /// Running maximum throughput over infinite-intensity samples.
-        inf_height: Option<f64>,
-    },
-    /// Not incrementally maintainable (Auto/Plateau right regions,
-    /// degenerate fits, quarantined or never-fitted metrics): any new
-    /// sample forces a full refit.
-    Opaque,
 }
 
 /// What the last commit concluded about one metric.
@@ -100,7 +67,9 @@ enum SlotStatus {
 struct Slot {
     status: SlotStatus,
     dirty: Dirty,
-    tracker: Tracker,
+    /// What the metric's last fit left behind to classify new samples
+    /// against; `Opaque` for quarantined or never-fitted metrics.
+    artifacts: FitArtifacts,
     /// The thinning notice the metric's current fit produced (kept across
     /// clean commits: an unchanged front implies an unchanged decision).
     notice: Option<ThinningNotice>,
@@ -111,42 +80,10 @@ impl Slot {
         Slot {
             status: SlotStatus::Pending,
             dirty: Dirty::Full,
-            tracker: Tracker::Opaque,
+            artifacts: FitArtifacts::Opaque,
             notice: None,
         }
     }
-}
-
-/// How a commit handled one metric that needed work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JobClass {
-    Full,
-    Right,
-    ConstantRaise,
-}
-
-/// One refit job, borrowing the trainer's immutable state.
-enum JobKind<'a> {
-    Full {
-        column: &'a MetricColumn,
-    },
-    Right {
-        left: &'a [Point],
-        front: &'a [Point],
-        sums: &'a PrefixSums,
-        inf_height: Option<f64>,
-        training_samples: usize,
-    },
-    ConstantRaise {
-        height: f64,
-        training_samples: usize,
-    },
-}
-
-struct Job<'a> {
-    metric: MetricId,
-    class: JobClass,
-    kind: JobKind<'a>,
 }
 
 /// What one [`OnlineTrainer::commit`] did, beyond the model itself.
@@ -156,8 +93,9 @@ pub struct UpdateReport {
     pub samples_added: usize,
     /// Metrics refitted from their full column, in metric-name order.
     pub refit_full: Vec<MetricId>,
-    /// Metrics whose right region was patched in place (including constant
-    /// fits whose height rose), in metric-name order.
+    /// Always empty: every refit is a full one. The field stays because
+    /// the daemon's `update` response serializes this report and the
+    /// benchmark harness reads it.
     pub refit_right: Vec<MetricId>,
     /// Metrics that received samples which were exact no-ops, in
     /// metric-name order.
@@ -167,17 +105,15 @@ pub struct UpdateReport {
 impl UpdateReport {
     /// Metrics that received at least one sample since the last commit.
     pub fn metrics_touched(&self) -> usize {
-        self.refit_full.len() + self.refit_right.len() + self.unchanged.len()
+        self.refit_full.len() + self.unchanged.len()
     }
 
-    /// One-line summary, e.g.
-    /// `+120 samples: 2 full refits, 3 right patches, 5 unchanged`.
+    /// One-line summary, e.g. `+120 samples: 2 refitted, 5 unchanged`.
     pub fn summary(&self) -> String {
         format!(
-            "+{} samples: {} full refits, {} right patches, {} unchanged",
+            "+{} samples: {} refitted, {} unchanged",
             self.samples_added,
             self.refit_full.len(),
-            self.refit_right.len(),
             self.unchanged.len()
         )
     }
@@ -293,67 +229,24 @@ impl OnlineTrainer {
         }
 
         // Phase 1: decide, for every metric, whether it is skipped, clean,
-        // or needs a job — in by_metric (name) order, like the batch path.
+        // or refitted — in by_metric (name) order, like the batch path.
         let mut skipped: Vec<MetricId> = Vec::new();
-        let mut jobs: Vec<Job<'_>> = Vec::new();
+        let mut jobs: Vec<(&MetricId, &MetricColumn)> = Vec::new();
         for (metric, column) in self.samples.by_metric() {
             if column.len() < self.config.min_samples_per_metric {
                 skipped.push(metric.clone());
                 continue;
             }
-            let slot = self.slots.get(metric);
-            let (class, kind) = match slot {
-                Some(Slot {
-                    status: SlotStatus::Trained,
-                    dirty: Dirty::Clean,
-                    ..
-                }) => continue,
-                Some(Slot {
-                    status: SlotStatus::Quarantined(_),
-                    dirty: Dirty::Clean,
-                    ..
-                }) => continue,
-                Some(Slot {
-                    status: SlotStatus::Trained,
-                    dirty: Dirty::Right,
-                    tracker:
-                        Tracker::Fitted {
-                            left,
-                            front,
-                            sums,
-                            inf_height,
-                            ..
-                        },
-                    ..
-                }) => (
-                    JobClass::Right,
-                    JobKind::Right {
-                        left,
-                        front,
-                        sums,
-                        inf_height: *inf_height,
-                        training_samples: column.len(),
-                    },
-                ),
-                Some(Slot {
-                    status: SlotStatus::Trained,
-                    dirty: Dirty::Right,
-                    tracker: Tracker::Constant { inf_height },
-                    ..
-                }) => (
-                    JobClass::ConstantRaise,
-                    JobKind::ConstantRaise {
-                        height: *inf_height,
-                        training_samples: column.len(),
-                    },
-                ),
-                _ => (JobClass::Full, JobKind::Full { column }),
-            };
-            jobs.push(Job {
-                metric: metric.clone(),
-                class,
-                kind,
+            let settled = self.slots.get(metric).is_some_and(|slot| {
+                slot.dirty == Dirty::Clean
+                    && matches!(
+                        slot.status,
+                        SlotStatus::Trained | SlotStatus::Quarantined(_)
+                    )
             });
+            if !settled {
+                jobs.push((metric, column));
+            }
         }
         if jobs.is_empty()
             && self
@@ -368,26 +261,23 @@ impl OnlineTrainer {
 
         // Phase 2: run the jobs with per-metric panic containment, results
         // in job (metric-name) order — exactly the batch fan-out.
-        let config = &self.config;
-        let fitted = parallel::map_catching(&jobs, self.config.threads, |job| run_job(job, config));
+        let options = &self.config.fit;
+        let fitted = parallel::map_catching(&jobs, self.config.threads, |(_, column)| {
+            PiecewiseRoofline::fit_column_seeded(column, options)
+        });
 
         // Phase 3: flatten the three failure channels per metric, exactly
         // like the batch path, into staged slot updates.
         type Staged = (
             MetricId,
-            JobClass,
             std::result::Result<
-                (
-                    PiecewiseRoofline,
-                    Option<ThinningNotice>,
-                    Option<FitArtifacts>,
-                ),
+                (PiecewiseRoofline, Option<ThinningNotice>, FitArtifacts),
                 QuarantinedMetric,
             >,
         );
         let mut staged: Vec<Staged> = Vec::with_capacity(jobs.len());
-        for (job, outcome) in jobs.iter().zip(fitted) {
-            let metric = job.metric.clone();
+        for (&(metric, _), outcome) in jobs.iter().zip(fitted) {
+            let metric = metric.clone();
             let checked: Result<_> = match outcome {
                 Err(message) => Err(SpireError::FitPanicked {
                     metric: metric.to_string(),
@@ -399,7 +289,7 @@ impl OnlineTrainer {
                 }
             };
             match checked {
-                Ok(ok) => staged.push((metric, job.class, Ok(ok))),
+                Ok(ok) => staged.push((metric, Ok(ok))),
                 Err(e) => {
                     if self.strictness == TrainStrictness::Strict {
                         return Err(e);
@@ -413,7 +303,6 @@ impl OnlineTrainer {
                     };
                     staged.push((
                         metric.clone(),
-                        job.class,
                         Err(QuarantinedMetric {
                             metric,
                             reason,
@@ -437,8 +326,8 @@ impl OnlineTrainer {
                 continue;
             }
             match staged_map.get(metric) {
-                Some((_, _, Ok(_))) => metrics_trained += 1,
-                Some((_, _, Err(q))) => quarantined.push(q.clone()),
+                Some((_, Ok(_))) => metrics_trained += 1,
+                Some((_, Err(q))) => quarantined.push(q.clone()),
                 None => match self.slots.get(metric).map(|s| &s.status) {
                     Some(SlotStatus::Trained) => metrics_trained += 1,
                     Some(SlotStatus::Quarantined(q)) => quarantined.push(q.clone()),
@@ -475,26 +364,19 @@ impl OnlineTrainer {
         };
         let mut moved: Vec<(MetricId, Option<PiecewiseRoofline>)> =
             Vec::with_capacity(staged.len());
-        for (metric, class, result) in staged {
-            match class {
-                JobClass::Full => update.refit_full.push(metric.clone()),
-                JobClass::Right | JobClass::ConstantRaise => {
-                    update.refit_right.push(metric.clone())
-                }
-            }
+        for (metric, result) in staged {
+            update.refit_full.push(metric.clone());
             let slot = self.slots.get_mut(&metric).expect("job metrics have slots");
             match result {
                 Ok((fit, notice, artifacts)) => {
                     slot.status = SlotStatus::Trained;
                     slot.notice = notice;
-                    if let Some(artifacts) = artifacts {
-                        slot.tracker = tracker_from_artifacts(artifacts);
-                    }
+                    slot.artifacts = artifacts;
                     moved.push((metric, Some(fit)));
                 }
                 Err(q) => {
                     slot.status = SlotStatus::Quarantined(q);
-                    slot.tracker = Tracker::Opaque;
+                    slot.artifacts = FitArtifacts::Opaque;
                     slot.notice = None;
                     moved.push((metric, None));
                 }
@@ -535,12 +417,10 @@ impl OnlineTrainer {
             }
         }
         // Touched-but-clean metrics: the fit is unchanged, but a batch
-        // retrain would record the grown sample count. The refit lists are
+        // retrain would record the grown sample count. The refit list is
         // in metric-name order, so membership is a binary search.
         for metric in &self.touched {
-            if update.refit_full.binary_search(metric).is_ok()
-                || update.refit_right.binary_search(metric).is_ok()
-            {
+            if update.refit_full.binary_search(metric).is_ok() {
                 continue;
             }
             let Some(column) = self.samples.column(metric) else {
@@ -592,168 +472,40 @@ impl OnlineTrainer {
     }
 }
 
-/// Executes one refit job. Full jobs rerun the whole per-metric fit;
-/// right/constant jobs rebuild only the parts the new samples changed,
-/// bit-identically to the full fit on the same data.
-fn run_job(
-    job: &Job<'_>,
-    config: &TrainConfig,
-) -> Result<(
-    PiecewiseRoofline,
-    Option<ThinningNotice>,
-    Option<FitArtifacts>,
-)> {
-    match &job.kind {
-        JobKind::Full { column } => {
-            let (fit, notice, artifacts) =
-                PiecewiseRoofline::fit_column_seeded(column, &config.fit)?;
-            Ok((fit, notice, Some(artifacts)))
-        }
-        JobKind::Right {
-            left,
-            front,
-            sums,
-            inf_height,
-            training_samples,
-        } => {
-            let (fit, notice) = PiecewiseRoofline::refit_graph_right(
-                job.metric.clone(),
-                left,
-                front,
-                sums,
-                *inf_height,
-                *training_samples,
-                &config.fit,
-            );
-            Ok((fit, notice, None))
-        }
-        JobKind::ConstantRaise {
-            height,
-            training_samples,
-        } => Ok((
-            PiecewiseRoofline::constant_roofline(job.metric.clone(), *height, *training_samples),
-            None,
-            None,
-        )),
-    }
-}
-
-/// Rebuilds a [`Tracker`] from the artifacts of a full fit.
-fn tracker_from_artifacts(artifacts: FitArtifacts) -> Tracker {
-    match artifacts {
-        FitArtifacts::Constant { inf_height } => Tracker::Constant { inf_height },
-        FitArtifacts::Graph {
-            left,
-            front,
-            inf_height,
-        } => {
-            let apex = *left.last().expect("a hull always has an apex");
-            let sums = PrefixSums::new(&front);
-            Tracker::Fitted {
-                left,
-                apex,
-                front,
-                sums,
-                inf_height,
-            }
-        }
-        FitArtifacts::Opaque => Tracker::Opaque,
-    }
-}
-
-/// Classifies one batch's rows for one metric against the maintained state,
-/// escalating the slot's dirty flag and maintaining the front/heights.
-///
-/// Every branch that avoids `Full` is an *exact* no-op or an exact in-place
-/// update (see the module docs); anything uncertain escalates.
+/// Classifies one batch's rows for one metric: the slot stays `Clean` only
+/// if every row is an exact no-op for its current fit (see the module
+/// docs); the first row that is not makes it `Full`.
 fn classify_rows(slot: &mut Slot, intensities: &[f64], throughputs: &[f64]) {
-    for (&x, &y) in intensities.iter().zip(throughputs) {
-        if slot.dirty == Dirty::Full {
-            // The tracker will be rebuilt from the refit; stop maintaining.
-            return;
+    if slot.dirty == Dirty::Full {
+        return;
+    }
+    let noop = |(&x, &y): (&f64, &f64)| match &slot.artifacts {
+        FitArtifacts::Opaque => false,
+        // The batch fit folds `+∞`-intensity throughputs into a running
+        // maximum in column order, and new rows append to the column: the
+        // fit is unchanged iff the next fold step leaves the bits alone.
+        FitArtifacts::Constant { inf_height } => {
+            x == f64::INFINITY && inf_height.max(y).to_bits() == inf_height.to_bits()
         }
-        match &mut slot.tracker {
-            Tracker::Opaque => {
-                slot.dirty = Dirty::Full;
-                return;
+        FitArtifacts::Graph {
+            inf_height: Some(h),
+            ..
+        } if x == f64::INFINITY => h.max(y).to_bits() == h.to_bits(),
+        FitArtifacts::Graph { apex, front, .. } => {
+            // Strictly right of the apex and below it, the hull and apex
+            // are provably unchanged; the sample is then a no-op iff the
+            // batch Pareto sweep would discard it. `front` is sorted by
+            // strictly descending x and strictly increasing y.
+            if !(x.is_finite() && y.is_finite() && x > apex.x && y < apex.y) {
+                return false;
             }
-            Tracker::Constant { inf_height } => {
-                if x.is_finite() {
-                    // The first finite-intensity sample turns a constant fit
-                    // into a hull + front fit.
-                    slot.dirty = Dirty::Full;
-                    return;
-                }
-                // Non-finite intensity (∞ from M=0, or hostile NaN/−∞ rows
-                // admitted by deserialization): the batch fit folds all of
-                // them into the running maximum, which we replay exactly.
-                let new = inf_height.max(y);
-                if new.to_bits() != inf_height.to_bits() {
-                    *inf_height = new;
-                    slot.dirty = slot.dirty.max(Dirty::Right);
-                }
-            }
-            Tracker::Fitted {
-                apex,
-                front,
-                sums,
-                inf_height,
-                ..
-            } => {
-                if !x.is_finite() {
-                    // Replay the batch fold over infinite-intensity rows.
-                    let new = inf_height.map_or(y, |h| h.max(y));
-                    let changed = match inf_height {
-                        Some(h) => new.to_bits() != h.to_bits(),
-                        None => true,
-                    };
-                    if changed {
-                        *inf_height = Some(new);
-                        slot.dirty = slot.dirty.max(Dirty::Right);
-                    }
-                    continue;
-                }
-                if !y.is_finite() {
-                    // A finite-intensity row with a hostile throughput enters
-                    // the hull machinery; refit rather than predict it.
-                    slot.dirty = Dirty::Full;
-                    return;
-                }
-                if y > apex.y || (y == apex.y && x > apex.x) {
-                    // Lexicographically above the apex: the batch hull would
-                    // pick a new apex, reshaping everything.
-                    slot.dirty = Dirty::Full;
-                    return;
-                }
-                if x <= apex.x {
-                    // At or left of the apex: the sample could interact with
-                    // the tolerance-based hull walk in ways no exact test
-                    // predicts, so the clean/fast paths are not available.
-                    slot.dirty = Dirty::Full;
-                    return;
-                }
-                // Strictly right of the apex with y < apex.y: the hull and
-                // apex are provably unchanged; only the Pareto front can
-                // move. `front` is sorted by strictly descending x and
-                // strictly increasing y.
-                let j = front.partition_point(|q| q.x > x);
-                let dominated = (j > 0 && front[j - 1].y >= y)
-                    || (j < front.len() && front[j].x == x && front[j].y >= y);
-                if !dominated {
-                    // Remove the points the new sample dominates (a
-                    // contiguous run at the insertion point) and splice it
-                    // in; the result equals the batch Pareto sweep over the
-                    // grown point set.
-                    let mut end = j;
-                    while end < front.len() && front[end].y <= y {
-                        end += 1;
-                    }
-                    front.splice(j..end, [Point::new(x, y)]);
-                    sums.patch(front, j);
-                    slot.dirty = slot.dirty.max(Dirty::Right);
-                }
-            }
+            let j = front.partition_point(|q| q.x > x);
+            (j > 0 && front[j - 1].y >= y)
+                || (j < front.len() && front[j].x == x && front[j].y >= y)
         }
+    };
+    if !intensities.iter().zip(throughputs).all(noop) {
+        slot.dirty = Dirty::Full;
     }
 }
 
@@ -828,7 +580,6 @@ mod tests {
         let outcome = trainer.commit().unwrap();
         assert_eq!(outcome.update.unchanged, vec![MetricId::new("m")]);
         assert!(outcome.update.refit_full.is_empty());
-        assert!(outcome.update.refit_right.is_empty());
 
         let mut all = seed;
         all.merge(update);
@@ -836,7 +587,7 @@ mod tests {
     }
 
     #[test]
-    fn front_extending_sample_patches_right_region_only() {
+    fn front_extending_sample_refits_the_metric() {
         let config = TrainConfig::default();
         let mut trainer = OnlineTrainer::new(config.clone(), TrainStrictness::Lenient).unwrap();
         let seed = batch(&[
@@ -851,8 +602,8 @@ mod tests {
         let update = batch(&[("m", 10.0, 40.0, 2.0)]); // I 20, P 4
         trainer.push_batch(&update);
         let outcome = trainer.commit().unwrap();
-        assert_eq!(outcome.update.refit_right, vec![MetricId::new("m")]);
-        assert!(outcome.update.refit_full.is_empty());
+        assert_eq!(outcome.update.refit_full, vec![MetricId::new("m")]);
+        assert!(outcome.update.refit_right.is_empty());
 
         let mut all = seed;
         all.merge(update);
@@ -882,7 +633,7 @@ mod tests {
     }
 
     #[test]
-    fn constant_metric_raises_height_without_full_refit() {
+    fn constant_metric_refits_when_its_height_rises() {
         let config = TrainConfig::default();
         let mut trainer = OnlineTrainer::new(config.clone(), TrainStrictness::Lenient).unwrap();
         // All-infinite-intensity metric (M = 0 throughout).
@@ -893,7 +644,7 @@ mod tests {
         let update = batch(&[("c", 10.0, 30.0, 0.0)]); // higher constant
         trainer.push_batch(&update);
         let outcome = trainer.commit().unwrap();
-        assert_eq!(outcome.update.refit_right, vec![MetricId::new("c")]);
+        assert_eq!(outcome.update.refit_full, vec![MetricId::new("c")]);
 
         let mut all = seed;
         all.merge(update);

@@ -135,18 +135,14 @@ pub enum Event {
         /// The configured `max_front_size` cap.
         cap: usize,
     },
-    /// An incremental update refitted one metric (mirrors one entry of
-    /// [`crate::UpdateReport`]'s `refit_full`/`refit_right` lists).
+    /// An incremental update refitted one metric from its full column
+    /// (mirrors one entry of [`crate::UpdateReport`]'s `refit_full`).
     ModelRefit {
         /// The refitted metric.
         metric: String,
-        /// Refit scope: `full` (complete refit from the metric's column)
-        /// or `right` (patched right-region refit from the maintained
-        /// Pareto front).
-        mode: String,
     },
     /// An incremental update left one metric's model untouched because
-    /// every new sample was dominated by the maintained Pareto front.
+    /// every new sample was an exact no-op for its fit.
     ModelUnchanged {
         /// The unchanged metric.
         metric: String,
@@ -397,9 +393,7 @@ impl Event {
                 "thinning {metric} Pareto front from {original} to {retained} samples \
                  (thin_front enabled, max_front_size = {cap})"
             ),
-            Event::ModelRefit { metric, mode } => {
-                format!("refit metric {metric} ({mode})")
-            }
+            Event::ModelRefit { metric } => format!("refit metric {metric}"),
             Event::ModelUnchanged { metric } => {
                 format!("metric {metric} unchanged (all new samples dominated)")
             }
@@ -567,11 +561,7 @@ impl Serialize for Event {
                 entries.push(field("retained", Content::U64(*retained as u64)));
                 entries.push(field("cap", Content::U64(*cap as u64)));
             }
-            Event::ModelRefit { metric, mode } => {
-                entries.push(field("metric", Content::Str(metric.clone())));
-                entries.push(field("mode", Content::Str(mode.clone())));
-            }
-            Event::ModelUnchanged { metric } => {
+            Event::ModelRefit { metric } | Event::ModelUnchanged { metric } => {
                 entries.push(field("metric", Content::Str(metric.clone())));
             }
             Event::RequestShed {

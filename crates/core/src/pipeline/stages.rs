@@ -75,9 +75,8 @@ pub fn train(ctx: &RunContext, samples: &SampleSet) -> Result<TrainOutcome> {
 
 /// The `update` stage: feeds one sample batch into `trainer` and commits,
 /// mirroring the resulting [`UpdateReport`](crate::UpdateReport) onto the
-/// bus — one `ModelRefit` per refitted metric (`mode` distinguishes full
-/// refits from patched right-region refits), one `ModelUnchanged` per
-/// metric whose new samples were all dominated, plus the usual train
+/// bus — one `ModelRefit` per refitted metric, one `ModelUnchanged` per
+/// metric whose new samples were all exact no-ops, plus the usual train
 /// events (quarantines, thinning, budget).
 ///
 /// # Errors
@@ -98,13 +97,6 @@ pub fn update(
             for metric in &outcome.update.refit_full {
                 ctx.emit(Event::ModelRefit {
                     metric: metric.to_string(),
-                    mode: "full".to_owned(),
-                });
-            }
-            for metric in &outcome.update.refit_right {
-                ctx.emit(Event::ModelRefit {
-                    metric: metric.to_string(),
-                    mode: "right".to_owned(),
                 });
             }
             for metric in &outcome.update.unchanged {
@@ -375,7 +367,7 @@ mod tests {
         assert!(
             sink.events().iter().any(|e| matches!(
                 e,
-                Event::ModelRefit { metric, mode } if metric == "m_front" && mode == "full"
+                Event::ModelRefit { metric } if metric == "m_front"
             )),
             "{:?}",
             sink.events()
@@ -387,7 +379,6 @@ mod tests {
         dominated.push(Sample::new("m_front", 10.0, 20.0, 1.0).unwrap());
         let outcome = update(&ctx, &mut trainer, &dominated).unwrap();
         assert!(outcome.update.refit_full.is_empty());
-        assert!(outcome.update.refit_right.is_empty());
         assert_eq!(outcome.update.unchanged.len(), 1);
         assert!(
             sink.events().iter().any(|e| matches!(

@@ -15,7 +15,6 @@
 mod right;
 
 pub use right::{fit_right_front, RightRegion};
-pub(crate) use right::{fit_right_front_with, PrefixSums};
 
 #[cfg(any(test, feature = "reference-fit"))]
 pub use right::reference;
@@ -171,29 +170,28 @@ enum Shape {
 }
 
 /// The intermediate structures of a fit, cloned out for the online trainer
-/// so it can classify new samples and patch the right region without
-/// refitting the whole column.
+/// so it can tell which new samples leave the fit exactly unchanged.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum FitArtifacts {
-    /// Every training sample had infinite intensity; the fit is a constant
-    /// at `inf_height` and stays maintainable by a running max.
+    /// Every finite-or-`+∞` training sample had `+∞` intensity and there
+    /// was at least one; the fit is a constant at `inf_height`.
     Constant {
-        /// The maximum observed throughput over the infinite-intensity rows.
+        /// The maximum observed throughput over the `+∞`-intensity rows.
         inf_height: f64,
     },
-    /// A Graph-mode fit with a non-degenerate apex: the left hull, the
+    /// A Graph-mode fit with a non-degenerate apex: the apex, the
     /// *un-thinned* right-region Pareto front (descending intensity, the
-    /// apex last), and the infinite-intensity tail height.
+    /// apex last), and the `+∞`-intensity tail height.
     Graph {
-        /// Knots of the left hull, origin to apex (ascending intensity).
-        left: Vec<Point>,
+        /// The hull's apex.
+        apex: Point,
         /// The un-thinned Pareto front over points at or beyond the apex.
         front: Vec<Point>,
-        /// Maximum throughput over infinite-intensity rows, if any.
+        /// Maximum throughput over `+∞`-intensity rows, if any.
         inf_height: Option<f64>,
     },
-    /// Any other fit (Auto/Plateau right regions, degenerate hulls): not
-    /// incrementally maintainable — every new sample forces a full refit.
+    /// Any other fit (Auto/Plateau right regions, degenerate hulls, a
+    /// constant with no `+∞` row): no new sample is a provable no-op.
     Opaque,
 }
 
@@ -292,8 +290,8 @@ impl PiecewiseRoofline {
 
     /// [`fit_column_logged`](PiecewiseRoofline::fit_column_logged),
     /// additionally returning the [`FitArtifacts`] the online trainer
-    /// needs to maintain the fit incrementally (the left hull, the
-    /// *un-thinned* Pareto front, and the infinite-intensity tail height).
+    /// classifies new samples against (the apex, the *un-thinned* Pareto
+    /// front, and the infinite-intensity tail height).
     ///
     /// The fitted roofline is bit-identical to `fit_column_logged`'s —
     /// both run the same slice fit; this entry point only additionally
@@ -321,8 +319,10 @@ impl PiecewiseRoofline {
     }
 
     /// The shared slice-based fit: `intensities[i]`/`throughputs[i]`
-    /// describe sample `i`. Rows with infinite intensity feed the right
+    /// describe sample `i`. Rows with `+∞` intensity feed the right
     /// region's tail height; finite rows feed the hull and Pareto front.
+    /// A NaN or −∞ intensity, which only a hostile column can carry, feeds
+    /// neither region.
     fn fit_slices(
         metric: MetricId,
         intensities: &[f64],
@@ -356,13 +356,16 @@ impl PiecewiseRoofline {
         for (&i, &p) in intensities.iter().zip(throughputs) {
             if i.is_finite() {
                 any_finite = true;
-            } else {
+            } else if i == f64::INFINITY {
                 inf_height = Some(inf_height.map_or(p, |h: f64| h.max(p)));
             }
         }
         if !any_finite {
             let height = inf_height.unwrap_or(0.0);
-            let artifacts = want_artifacts.then_some(FitArtifacts::Constant { inf_height: height });
+            let artifacts = want_artifacts.then_some(match inf_height {
+                Some(inf_height) => FitArtifacts::Constant { inf_height },
+                None => FitArtifacts::Opaque,
+            });
             return Ok((
                 PiecewiseRoofline {
                     metric,
@@ -381,9 +384,9 @@ impl PiecewiseRoofline {
         let sorted = SortedPoints::from_columns(intensities, throughputs);
         let left = sorted.upper_hull();
         let apex = *left.last().expect("hull always contains the origin");
-        // `front` stays un-thinned (it seeds the online trainer's
-        // incremental state, which must track the exact batch front);
-        // thinning, when enabled, works on a copy for the fit itself.
+        // `front` stays un-thinned (the online trainer classifies new
+        // samples against the exact batch front); thinning, when enabled,
+        // works on a copy for the fit itself.
         let front = {
             let mut f = sorted.pareto_front_from(apex.x);
             if f.is_empty() {
@@ -436,18 +439,18 @@ impl PiecewiseRoofline {
             RightRegion::constant(height.max(apex.y))
         };
 
-        // A fit is incrementally maintainable only in pure Graph mode with
-        // a non-degenerate apex: Auto re-judges the right-region trend over
-        // *all* right points (which the trainer does not keep), Plateau's
-        // height is not front-driven, and the degenerate zero-throughput
-        // fallbacks bypass the front entirely.
+        // Only a pure Graph-mode fit with a non-degenerate apex has provable
+        // no-ops: Auto re-judges the right-region trend over *all* right
+        // points (which the trainer does not keep), Plateau's height is not
+        // front-driven, and the degenerate zero-throughput fallbacks bypass
+        // the front entirely.
         let artifacts = want_artifacts.then(|| {
             let maintainable = options.right_fit == RightFitMode::Graph
                 && apex.y > 0.0
                 && front.last() == Some(&apex);
             if maintainable {
                 FitArtifacts::Graph {
-                    left: left.clone(),
+                    apex,
                     front: front.clone(),
                     inf_height,
                 }
@@ -464,67 +467,6 @@ impl PiecewiseRoofline {
             notice,
             artifacts,
         ))
-    }
-
-    /// Rebuilds a Graph-mode roofline from its maintained parts after a
-    /// right-region change: the left hull is reused as-is and only the
-    /// right region is refitted from the (already updated) Pareto front
-    /// and its patched prefix sums.
-    ///
-    /// `front` is the *un-thinned* maintained front with `sums` in sync;
-    /// thinning, when enabled and needed, is applied to a copy with fresh
-    /// sums — exactly what the batch fit does — so the result is
-    /// bit-identical to refitting the whole column.
-    pub(crate) fn refit_graph_right(
-        metric: MetricId,
-        left: &[Point],
-        front: &[Point],
-        sums: &PrefixSums,
-        inf_height: Option<f64>,
-        training_samples: usize,
-        options: &FitOptions,
-    ) -> (Self, Option<ThinningNotice>) {
-        let mut notice = None;
-        let right = if options.thin_front && front.len() > options.max_front_size {
-            let original = front.len();
-            let mut thinned = front.to_vec();
-            thin_front(&mut thinned, options.max_front_size);
-            notice = Some(ThinningNotice {
-                metric: metric.clone(),
-                original,
-                retained: thinned.len(),
-                cap: options.max_front_size,
-            });
-            let fresh = PrefixSums::new(&thinned);
-            fit_right_front_with(&thinned, &fresh, inf_height)
-        } else {
-            fit_right_front_with(front, sums, inf_height)
-        };
-        (
-            PiecewiseRoofline {
-                metric,
-                shape: Shape::Full {
-                    left: left.to_vec(),
-                    right,
-                },
-                training_samples,
-            },
-            notice,
-        )
-    }
-
-    /// Rebuilds a constant (all-infinite-intensity) roofline — the online
-    /// trainer's counterpart of the `!any_finite` branch of the fit.
-    pub(crate) fn constant_roofline(
-        metric: MetricId,
-        height: f64,
-        training_samples: usize,
-    ) -> Self {
-        PiecewiseRoofline {
-            metric,
-            shape: Shape::Constant(height),
-            training_samples,
-        }
     }
 
     /// Patches the recorded training-sample count (used by the online
@@ -1048,6 +990,52 @@ mod tests {
         let col = set.column(&"m".into()).unwrap();
         let col_fit = PiecewiseRoofline::fit_column(col, &FitOptions::default()).unwrap();
         assert_eq!(row_fit, col_fit);
+    }
+
+    #[test]
+    fn nan_and_negative_infinite_intensities_feed_neither_region() {
+        // Only a hostile column carries these rows; they must not raise the
+        // tail or, under Auto/Plateau, the plateau above the apex.
+        let intensities = [1.0, 2.0, 4.0, f64::NEG_INFINITY, f64::NAN];
+        let throughputs = [1.0, 2.0, 1.5, 9.0, 9.0];
+        for right_fit in [
+            RightFitMode::Graph,
+            RightFitMode::Auto,
+            RightFitMode::Plateau,
+        ] {
+            let opts = FitOptions {
+                right_fit,
+                ..FitOptions::default()
+            };
+            let (r, _) =
+                PiecewiseRoofline::fit_slices("m".into(), &intensities, &throughputs, &opts)
+                    .unwrap();
+            assert_eq!(r.apex(), Some(Point::new(2.0, 2.0)));
+            let right = r.right_region().unwrap();
+            assert!(right.tail() <= 2.0, "{right_fit:?}: tail {}", right.tail());
+            assert_eq!(right.plateau(), 2.0, "{right_fit:?}");
+            assert!(r.estimate(f64::INFINITY) <= 2.0);
+            r.validate().unwrap();
+        }
+        // A column of such rows alone is a zero constant, and a `+∞` row
+        // still sets the tail.
+        let (r, _) = PiecewiseRoofline::fit_slices(
+            "m".into(),
+            &[f64::NEG_INFINITY, f64::NAN],
+            &[9.0, 9.0],
+            &FitOptions::default(),
+        )
+        .unwrap();
+        assert!(r.is_constant());
+        assert_eq!(r.estimate(1.0), 0.0);
+        let (r, _) = PiecewiseRoofline::fit_slices(
+            "m".into(),
+            &[2.0, f64::INFINITY, f64::NEG_INFINITY],
+            &[2.0, 0.5, 9.0],
+            &FitOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(r.right_region().unwrap().tail(), 0.5);
     }
 
     #[test]

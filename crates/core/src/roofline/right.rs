@@ -120,16 +120,8 @@ fn slope(front: &[Point], a: usize, b: usize) -> f64 {
 /// Prefix sums of `x, x², y, y², xy` over the front, enabling O(1)
 /// closed-form segment errors: `x[i]` is `Σ front[0..i].x`, and a sum over
 /// the half-open index range `[lo, hi)` is `x[hi] - x[lo]`.
-///
-/// The sums are *patchable*: when a streaming insertion changes the front
-/// from index `i` onward, [`PrefixSums::patch`] truncates to the unchanged
-/// prefix and re-accumulates only the suffix. Because the accumulation
-/// replays the same additions in the same order on the same prefix values,
-/// a patched structure is bit-identical to one built fresh with
-/// [`PrefixSums::new`] — which is what keeps incrementally maintained fits
-/// equal to batch refits.
 #[derive(Debug, Clone)]
-pub(crate) struct PrefixSums {
+struct PrefixSums {
     x: Vec<f64>,
     xx: Vec<f64>,
     y: Vec<f64>,
@@ -138,7 +130,7 @@ pub(crate) struct PrefixSums {
 }
 
 impl PrefixSums {
-    pub(crate) fn new(front: &[Point]) -> Self {
+    fn new(front: &[Point]) -> Self {
         let k = front.len();
         let mut s = PrefixSums {
             x: Vec::with_capacity(k + 1),
@@ -152,51 +144,20 @@ impl PrefixSums {
         s.y.push(0.0);
         s.yy.push(0.0);
         s.xy.push(0.0);
-        s.extend_to(front, 0);
-        s
-    }
-
-    /// Number of front points the sums cover.
-    pub(crate) fn len(&self) -> usize {
-        self.x.len() - 1
-    }
-
-    /// Re-synchronizes the sums with `front` after it changed at (or after)
-    /// index `from`: drops the suffix sums for indices `>= from` and
-    /// re-accumulates from the retained prefix. O(front.len() - from).
-    pub(crate) fn patch(&mut self, front: &[Point], from: usize) {
-        let keep = from.min(self.len());
-        self.x.truncate(keep + 1);
-        self.xx.truncate(keep + 1);
-        self.y.truncate(keep + 1);
-        self.yy.truncate(keep + 1);
-        self.xy.truncate(keep + 1);
-        self.extend_to(front, keep);
-    }
-
-    /// Accumulates `front[from..]` onto the existing prefix (which must
-    /// already cover exactly `front[..from]`).
-    fn extend_to(&mut self, front: &[Point], from: usize) {
-        debug_assert_eq!(self.len(), from);
-        let (mut x, mut xx, mut y, mut yy, mut xy) = (
-            self.x[from],
-            self.xx[from],
-            self.y[from],
-            self.yy[from],
-            self.xy[from],
-        );
-        for p in &front[from..] {
+        let (mut x, mut xx, mut y, mut yy, mut xy) = (0.0, 0.0, 0.0, 0.0, 0.0);
+        for p in front {
             x += p.x;
             xx += p.x * p.x;
             y += p.y;
             yy += p.y * p.y;
             xy += p.x * p.y;
-            self.x.push(x);
-            self.xx.push(xx);
-            self.y.push(y);
-            self.yy.push(yy);
-            self.xy.push(xy);
+            s.x.push(x);
+            s.xx.push(xx);
+            s.y.push(y);
+            s.yy.push(yy);
+            s.xy.push(xy);
         }
+        s
     }
 }
 
@@ -285,30 +246,6 @@ struct InEntry {
 /// Panics if `front` is empty.
 pub fn fit_right_front(front: &[Point], start_height: Option<f64>) -> RightRegion {
     assert!(!front.is_empty(), "right fit requires a non-empty front");
-    fit_right_front_with(front, &PrefixSums::new(front), start_height)
-}
-
-/// [`fit_right_front`] with caller-supplied prefix sums over the same
-/// front. The online layer maintains its fronts (and sums, via
-/// [`PrefixSums::patch`]) under streaming insertion, so a refit does not
-/// have to rebuild the sums from scratch. The sums MUST cover exactly
-/// `front`; a patched structure is bit-identical to a fresh one, so this
-/// produces the same region as [`fit_right_front`].
-///
-/// # Panics
-///
-/// Panics if `front` is empty or `sums` does not cover `front`.
-pub(crate) fn fit_right_front_with(
-    front: &[Point],
-    sums: &PrefixSums,
-    start_height: Option<f64>,
-) -> RightRegion {
-    assert!(!front.is_empty(), "right fit requires a non-empty front");
-    assert_eq!(
-        sums.len(),
-        front.len(),
-        "prefix sums out of sync with front"
-    );
     debug_assert!(
         front.windows(2).all(|w| w[1].x < w[0].x && w[1].y > w[0].y),
         "front must be ordered by strictly decreasing x / strictly increasing y"
@@ -326,6 +263,8 @@ pub(crate) fn fit_right_front_with(
             fit_error: 0.0,
         };
     }
+
+    let sums = &PrefixSums::new(front);
 
     // Cost of the closing `End` horizontal from junction b: the apex
     // plateau's squared overestimation of front[b..k-1] (the departure
@@ -766,29 +705,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn patched_prefix_sums_are_bit_identical_to_fresh() {
-        let mut front = pts(&[(20.0, 0.5), (12.0, 1.2), (9.0, 2.8), (4.0, 4.5), (2.0, 6.0)]);
-        let mut sums = PrefixSums::new(&front);
-        // Insert a point mid-front (the streaming-front maintenance
-        // pattern) and patch from the insertion index.
-        front.insert(3, Point::new(6.0, 3.1));
-        sums.patch(&front, 3);
-        let fresh = PrefixSums::new(&front);
-        assert_eq!(sums.len(), fresh.len());
-        for i in 0..=front.len() {
-            assert_eq!(sums.x[i].to_bits(), fresh.x[i].to_bits());
-            assert_eq!(sums.xx[i].to_bits(), fresh.xx[i].to_bits());
-            assert_eq!(sums.y[i].to_bits(), fresh.y[i].to_bits());
-            assert_eq!(sums.yy[i].to_bits(), fresh.yy[i].to_bits());
-            assert_eq!(sums.xy[i].to_bits(), fresh.xy[i].to_bits());
-        }
-        // And a fit through the patched sums equals the from-scratch fit.
-        let a = fit_right_front_with(&front, &sums, None);
-        let b = fit_right_front(&front, None);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -133,12 +133,29 @@ impl<'de> Deserialize<'de> for MetricId {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Sample {
     metric: MetricId,
     time: f64,
     work: f64,
     metric_delta: f64,
+}
+
+/// Decoding runs [`Sample::new`]'s domain checks, so a JSON row that breaks
+/// them (a zero time, a negative work) is refused with the
+/// [`SpireError::InvalidSample`] message instead of reaching a fit.
+impl<'de> Deserialize<'de> for Sample {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> std::result::Result<Self, D::Error> {
+        #[derive(Deserialize)]
+        struct Wire {
+            metric: MetricId,
+            time: f64,
+            work: f64,
+            metric_delta: f64,
+        }
+        let w = Wire::deserialize(deserializer)?;
+        Sample::new(w.metric, w.time, w.work, w.metric_delta).map_err(serde::de::Error::custom)
+    }
 }
 
 impl Sample {
@@ -294,8 +311,8 @@ impl MetricColumn {
     /// This is the bulk-load path for the binary column file
     /// ([`crate::colfile`]): decoded `f64` columns move straight in with no
     /// per-row work. Like [`SampleSet::push_unchecked`], the rows bypass
-    /// [`Sample::new`] domain validation — deserialized data already does —
-    /// so downstream code must tolerate hostile values.
+    /// [`Sample::new`] domain validation, so downstream code must tolerate
+    /// hostile values.
     ///
     /// # Errors
     ///
@@ -574,9 +591,9 @@ impl SampleSet {
     /// Appends one measurement **without** the [`Sample::new`] domain
     /// validation — NaN, infinite, zero, and negative fields all pass.
     ///
-    /// Deserialization already admits such rows (serde builds columns
-    /// directly from the wire format), so downstream code must tolerate
-    /// them anyway; this constructor exists so the fault-injection
+    /// JSON decoding validates every row, but downstream code must still
+    /// tolerate such rows (a column file's checksums vouch for its bytes,
+    /// not their domain); this constructor exists so the fault-injection
     /// harness ([`crate::fault`]) can build those hostile sets
     /// deliberately and deterministically. Prefer [`SampleSet::push`] /
     /// [`SampleSet::push_parts`] everywhere else.
@@ -906,6 +923,20 @@ mod tests {
         assert!(json.contains("\"samples\""));
         let back: SampleSet = serde_json::from_str(&json).unwrap();
         assert_eq!(set, back);
+    }
+
+    #[test]
+    fn json_rows_that_break_the_domain_are_refused() {
+        let row = |t: &str, w: &str, m: &str| {
+            format!(r#"{{"samples":[{{"metric":"x","time":{t},"work":{w},"metric_delta":{m}}}]}}"#)
+        };
+        // A zero time (throughput +∞) and an intensity of −∞.
+        for (t, w, m) in [("0.0", "1.0", "1.0"), ("1.0", "-1e300", "1e-300")] {
+            let err = serde_json::from_str::<SampleSet>(&row(t, w, m)).unwrap_err();
+            assert!(err.to_string().contains("must be"), "{err}");
+        }
+        let ok: SampleSet = serde_json::from_str(&row("2.0", "4.0", "0.0")).unwrap();
+        assert_eq!(ok.len(), 1);
     }
 
     #[test]

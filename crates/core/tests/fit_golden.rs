@@ -24,8 +24,9 @@ use spire_core::{FitOptions, MetricColumn, MetricId, PiecewiseRoofline, RightFit
 
 /// A column whose derived `(intensity, throughput)` pairs are `(x, y)`
 /// (up to one rounding each), with the specials exact: the raw row is
-/// `T = 1/y`, `W = 1`, `M = 1/x`, so `x = ±0, ±∞, NaN` and
-/// `y = ±0, ∞, NaN` come back as themselves.
+/// `T = 1/y`, `W = 1`, `M = 1/x`, so `x = ±0, ∞, NaN` and
+/// `y = ±0, ∞, NaN` come back as themselves. `x = −∞` gives `M = −0`,
+/// which counts as zero, so it comes back as `+∞`.
 fn column(points: &[(f64, f64)]) -> MetricColumn {
     let time = points.iter().map(|&(_, y)| 1.0 / y).collect();
     let work = vec![1.0; points.len()];

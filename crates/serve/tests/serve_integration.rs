@@ -524,6 +524,42 @@ fn machine_tags_flow_through_responses_and_gate_updates() {
 }
 
 #[test]
+fn update_with_an_out_of_domain_row_is_refused_and_changes_nothing() {
+    let dir = temp_dir("bad-row");
+    let path = dir.join("model.json");
+    snapshot_to(&path, &train(1.0));
+    let config = ServerConfig {
+        wal: Some(spire_serve::WalSettings::new(dir.join("wal"))),
+        ..ServerConfig::default()
+    };
+    let (addr, _shared, _sink, handle) = start(config, vec![("m".to_owned(), path)]);
+    let mut client = Client::connect(&addr).unwrap();
+    let committed = client.update("m", &workload(1), Some("k-good")).unwrap();
+    assert!(committed.ok, "{:?}", committed.error);
+    let before = client.stats().unwrap().stats.unwrap().models.remove(0);
+    assert_eq!(before.last_seq, Some(1));
+
+    // A zero time (throughput +∞) and an intensity of −∞: the request
+    // body fails to decode, so the update never reaches the trainer.
+    for (time, work, delta) in [(0.0, 1.0, 1.0), (1.0, -1e300, 1e-300)] {
+        let mut batch = workload(2);
+        batch.push_unchecked("m_alpha".into(), time, work, delta);
+        let refused = client.update("m", &batch, Some("k-bad")).unwrap();
+        assert!(!refused.ok, "an out-of-domain row must be refused");
+        let detail = refused.error.unwrap();
+        assert!(detail.contains("must be"), "{detail}");
+        let after = client.stats().unwrap().stats.unwrap().models.remove(0);
+        assert_eq!(after.last_seq, before.last_seq);
+        assert_eq!(after.fingerprint, before.fingerprint);
+        assert_eq!(after.updates, before.updates);
+    }
+
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn salvaged_loads_emit_salvage_events_and_no_stage_events() {
     // A daemon load mirrors salvage onto the bus with the same events the
     // CLI's `load-model` stage emits, but is not itself a stage: the
