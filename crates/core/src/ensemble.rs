@@ -296,6 +296,176 @@ pub struct TrainOutcome {
     pub fit_notices: Vec<ThinningNotice>,
 }
 
+/// A metric's result from an earlier [`train_round`] that a later round
+/// keeps without refitting (the online trainer's exact no-op metrics).
+#[derive(Debug, Clone)]
+pub(crate) enum Settled {
+    /// The metric has a validated roofline; the notice its fit made.
+    Trained(Option<ThinningNotice>),
+    /// The metric's fit was quarantined.
+    Quarantined(QuarantinedMetric),
+}
+
+/// One metric fitted by a [`train_round`]: the validated roofline, its
+/// notice and the fit's extra output `A`, or the metric's quarantine.
+pub(crate) type Fitted<A> =
+    std::result::Result<(PiecewiseRoofline, Option<ThinningNotice>, A), QuarantinedMetric>;
+
+/// What one [`train_round`] produced.
+pub(crate) struct TrainRound<A> {
+    /// Every metric the round fitted, in metric-name order.
+    pub(crate) fitted: Vec<(MetricId, Fitted<A>)>,
+    /// Metrics below the minimum sample count, in metric-name order.
+    pub(crate) skipped: Vec<MetricId>,
+    /// The report over every metric, settled or fitted.
+    pub(crate) report: TrainReport,
+    /// The notices of every trained metric, settled or fitted, in
+    /// metric-name order.
+    pub(crate) fit_notices: Vec<ThinningNotice>,
+}
+
+/// One fault-isolated training run (paper Fig. 3), shared by the batch
+/// trainer and [`OnlineTrainer::commit`](crate::OnlineTrainer::commit).
+///
+/// Walks `samples.by_metric()` once. A metric below
+/// [`TrainConfig::min_samples_per_metric`] is skipped; one for which
+/// `settled` returns a result keeps it; every other metric is fitted by
+/// `fit_fn` under [`parallel::map_catching`], its panic, error or invalid
+/// roofline flattened into one typed error and quarantined (lenient) or
+/// returned (strict, the first in metric-name order).
+///
+/// # Errors
+///
+/// In this order: [`SpireError::InvalidConfig`], then
+/// [`SpireError::EmptyTrainingSet`] when `samples` is empty or no metric
+/// reaches the minimum sample count, the first fit error in strict mode,
+/// [`SpireError::ErrorBudgetExceeded`], and
+/// [`SpireError::EmptyTrainingSet`] when no metric is trained.
+pub(crate) fn train_round<'s, A, S, F>(
+    samples: &SampleSet,
+    config: &TrainConfig,
+    strictness: TrainStrictness,
+    settled: S,
+    fit_fn: F,
+) -> Result<TrainRound<A>>
+where
+    A: Send,
+    S: Fn(&MetricId) -> Option<&'s Settled>,
+    F: Fn(&MetricColumn, &FitOptions) -> Result<(PiecewiseRoofline, Option<ThinningNotice>, A)>
+        + Sync,
+{
+    config.validate()?;
+    if samples.is_empty() {
+        return Err(SpireError::EmptyTrainingSet { metric: None });
+    }
+    let mut skipped = Vec::new();
+    let mut attempted: Vec<(&MetricId, Option<&Settled>)> = Vec::new();
+    let mut jobs: Vec<&MetricColumn> = Vec::new();
+    for (metric, column) in samples.by_metric() {
+        if column.len() < config.min_samples_per_metric {
+            skipped.push(metric.clone());
+            continue;
+        }
+        let kept = settled(metric);
+        if kept.is_none() {
+            jobs.push(column);
+        }
+        attempted.push((metric, kept));
+    }
+    if attempted.is_empty() {
+        return Err(SpireError::EmptyTrainingSet { metric: None });
+    }
+
+    // Fan the independent per-metric fits across workers with per-item
+    // panic containment; results come back in job (metric-name) order,
+    // so the ensemble — and the quarantine order — is identical to a
+    // serial build.
+    let mut results =
+        parallel::map_catching(&jobs, config.threads, |column| fit_fn(column, &config.fit))
+            .into_iter();
+
+    let mut fitted = Vec::with_capacity(jobs.len());
+    let mut metrics_trained = 0;
+    let mut quarantined: Vec<QuarantinedMetric> = Vec::new();
+    let mut fit_notices: Vec<ThinningNotice> = Vec::new();
+    for (metric, kept) in attempted {
+        match kept {
+            Some(Settled::Trained(notice)) => {
+                metrics_trained += 1;
+                fit_notices.extend(notice.clone());
+                continue;
+            }
+            Some(Settled::Quarantined(q)) => {
+                quarantined.push(q.clone());
+                continue;
+            }
+            None => {}
+        }
+        // Flatten the three failure channels (panic, fit error, invariant
+        // violation) into one typed error per metric.
+        let checked = match results.next().expect("one result per job") {
+            Err(message) => Err(SpireError::FitPanicked {
+                metric: metric.to_string(),
+                message,
+            }),
+            Ok(Err(e)) => Err(e),
+            Ok(Ok((fit, notice, extra))) => fit.validate().map(|()| (fit, notice, extra)),
+        };
+        match checked {
+            Ok((fit, notice, extra)) => {
+                metrics_trained += 1;
+                fit_notices.extend(notice.clone());
+                fitted.push((metric.clone(), Ok((fit, notice, extra))));
+            }
+            Err(e) => {
+                if strictness == TrainStrictness::Strict {
+                    return Err(e);
+                }
+                let q = QuarantinedMetric {
+                    metric: metric.clone(),
+                    reason: match &e {
+                        SpireError::FitPanicked { .. } => TrainQuarantineReason::FitPanicked,
+                        SpireError::ModelInvariantViolation { .. } => {
+                            TrainQuarantineReason::InvariantViolation
+                        }
+                        _ => TrainQuarantineReason::FitFailed,
+                    },
+                    detail: e.to_string(),
+                };
+                quarantined.push(q.clone());
+                fitted.push((metric.clone(), Err(q)));
+            }
+        }
+    }
+
+    let report = TrainReport {
+        metrics_seen: skipped.len() + metrics_trained + quarantined.len(),
+        metrics_trained,
+        metrics_skipped: skipped.len(),
+        quarantined,
+        error_budget: config.metric_error_budget,
+    };
+    if report.budget_exceeded() {
+        return Err(SpireError::ErrorBudgetExceeded {
+            quarantined: report.quarantined.len(),
+            total: report.metrics_trained + report.quarantined.len(),
+            budget: report.error_budget,
+        });
+    }
+    if metrics_trained == 0 {
+        // Every attempted metric was quarantined (possible only under a
+        // budget of 1.0); a zero-metric ensemble cannot estimate, so the
+        // run is refused as an empty training set.
+        return Err(SpireError::EmptyTrainingSet { metric: None });
+    }
+    Ok(TrainRound {
+        fitted,
+        skipped,
+        report,
+        fit_notices,
+    })
+}
+
 /// The merged estimate one metric produced for a workload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricEstimate {
@@ -447,20 +617,30 @@ impl SpireModel {
     ///
     /// Everything [`SpireModel::train`] returns, plus — in lenient mode —
     /// [`SpireError::ErrorBudgetExceeded`] when the quarantined fraction
-    /// exceeds [`TrainConfig::metric_error_budget`], and the first
-    /// quarantined metric's error when *no* metric survives.
+    /// exceeds [`TrainConfig::metric_error_budget`], and
+    /// [`SpireError::EmptyTrainingSet`] (naming no metric) when every
+    /// attempted metric is quarantined, which a budget of `1.0` allows.
     pub fn train_with_report(
         samples: &SampleSet,
         config: TrainConfig,
         strictness: TrainStrictness,
     ) -> Result<TrainOutcome> {
-        Self::train_with_report_logged(samples, config, strictness, |column, fit| {
-            PiecewiseRoofline::fit_column_logged(column, fit)
+        Self::train_with_fit(samples, config, strictness, |column, options| {
+            let (fit, notice, _) = PiecewiseRoofline::fit_slices(
+                column.metric().clone(),
+                column.intensities(),
+                column.throughputs(),
+                options,
+            )?;
+            Ok((fit, notice, ()))
         })
     }
 
     /// [`SpireModel::train_with_report`] with a caller-supplied fit
-    /// function in place of [`PiecewiseRoofline::fit_column`].
+    /// function in place of [`PiecewiseRoofline::fit_column`]: the same
+    /// skip rule, fault isolation, strictness, budget and errors. The
+    /// fit reports no [`ThinningNotice`], so
+    /// [`TrainOutcome::fit_notices`] is empty.
     ///
     /// This is the seam for custom fitters and for the fault-injection
     /// harness ([`crate::fault`]), which substitutes fits that panic or
@@ -475,118 +655,39 @@ impl SpireModel {
     where
         F: Fn(&MetricColumn, &FitOptions) -> Result<PiecewiseRoofline> + Sync,
     {
-        Self::train_with_report_logged(samples, config, strictness, |column, options| {
-            fit_fn(column, options).map(|fit| (fit, None))
+        Self::train_with_fit(samples, config, strictness, |column, options| {
+            fit_fn(column, options).map(|fit| (fit, None, ()))
         })
     }
 
-    /// The shared fault-isolated training loop: like
-    /// [`SpireModel::train_with_report_using`], but the fit function also
-    /// reports any lossy [`ThinningNotice`] it made, which is collected
-    /// (in metric-name order) into [`TrainOutcome::fit_notices`].
-    fn train_with_report_logged<F>(
+    /// One [`train_round`] with nothing settled, built into a model.
+    fn train_with_fit<F>(
         samples: &SampleSet,
         config: TrainConfig,
         strictness: TrainStrictness,
         fit_fn: F,
     ) -> Result<TrainOutcome>
     where
-        F: Fn(&MetricColumn, &FitOptions) -> Result<(PiecewiseRoofline, Option<ThinningNotice>)>
+        F: Fn(
+                &MetricColumn,
+                &FitOptions,
+            ) -> Result<(PiecewiseRoofline, Option<ThinningNotice>, ())>
             + Sync,
     {
-        config.validate()?;
-        if samples.is_empty() {
-            return Err(SpireError::EmptyTrainingSet { metric: None });
-        }
-        let mut skipped = Vec::new();
-        let mut jobs: Vec<&MetricColumn> = Vec::new();
-        for (metric, column) in samples.by_metric() {
-            if column.len() < config.min_samples_per_metric {
-                skipped.push(metric.clone());
-            } else {
-                jobs.push(column);
-            }
-        }
-        if jobs.is_empty() {
-            return Err(SpireError::EmptyTrainingSet { metric: None });
-        }
-        let metrics_seen = skipped.len() + jobs.len();
-
-        // Fan the independent per-metric fits across workers with per-item
-        // panic containment; results come back in job (metric-name) order,
-        // so the ensemble — and the quarantine order — is identical to a
-        // serial build.
-        let fitted =
-            parallel::map_catching(&jobs, config.threads, |column| fit_fn(column, &config.fit));
-
-        let mut rooflines = BTreeMap::new();
-        let mut quarantined: Vec<QuarantinedMetric> = Vec::new();
-        let mut fit_notices: Vec<ThinningNotice> = Vec::new();
-        for (column, outcome) in jobs.iter().zip(fitted) {
-            let metric = column.metric().clone();
-            // Flatten the three failure channels (panic, fit error,
-            // invariant violation) into one typed error per metric.
-            let checked: Result<(PiecewiseRoofline, Option<ThinningNotice>)> = match outcome {
-                Err(message) => Err(SpireError::FitPanicked {
-                    metric: metric.to_string(),
-                    message,
-                }),
-                Ok(Err(e)) => Err(e),
-                Ok(Ok((fit, notice))) => fit.validate().map(|()| (fit, notice)),
-            };
-            match checked {
-                Ok((fit, notice)) => {
-                    rooflines.insert(metric, fit);
-                    fit_notices.extend(notice);
-                }
-                Err(e) => {
-                    if strictness == TrainStrictness::Strict {
-                        return Err(e);
-                    }
-                    quarantined.push(QuarantinedMetric {
-                        metric,
-                        reason: match &e {
-                            SpireError::FitPanicked { .. } => TrainQuarantineReason::FitPanicked,
-                            SpireError::ModelInvariantViolation { .. } => {
-                                TrainQuarantineReason::InvariantViolation
-                            }
-                            _ => TrainQuarantineReason::FitFailed,
-                        },
-                        detail: e.to_string(),
-                    });
-                }
-            }
-        }
-
-        let report = TrainReport {
-            metrics_seen,
-            metrics_trained: rooflines.len(),
-            metrics_skipped: skipped.len(),
-            quarantined,
-            error_budget: config.metric_error_budget,
-        };
-        if report.budget_exceeded() {
-            return Err(SpireError::ErrorBudgetExceeded {
-                quarantined: report.quarantined.len(),
-                total: report.metrics_trained + report.quarantined.len(),
-                budget: report.error_budget,
-            });
-        }
-        if rooflines.is_empty() {
-            // Every attempted metric was quarantined (possible only under a
-            // budget of 1.0); a zero-metric ensemble cannot estimate, so
-            // surface the first underlying failure rather than a model that
-            // errors on every query.
-            return Err(SpireError::EmptyTrainingSet { metric: None });
-        }
+        let round = train_round(samples, &config, strictness, |_| None, fit_fn)?;
+        let rooflines = round
+            .fitted
+            .into_iter()
+            .filter_map(|(metric, fitted)| Some((metric, fitted.ok()?.0)))
+            .collect();
         Ok(TrainOutcome {
             model: SpireModel {
                 rooflines,
                 config,
-                skipped_metrics: skipped,
+                skipped_metrics: round.skipped,
             },
-            report,
-            fit_notices,
+            report: round.report,
+            fit_notices: round.fit_notices,
         })
     }
 
@@ -1261,6 +1362,26 @@ mod tests {
             }
             other => panic!("expected ErrorBudgetExceeded, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn every_metric_quarantined_is_an_empty_training_set() {
+        // A budget of 1.0 admits quarantining every metric; the run is then
+        // refused as an empty training set that names no metric.
+        let config = TrainConfig {
+            metric_error_budget: 1.0,
+            ..TrainConfig::default()
+        };
+        let err = crate::fault::silence_panics(|| {
+            SpireModel::train_with_report_using(
+                &training(),
+                config,
+                TrainStrictness::Lenient,
+                crate::fault::panicking_fit(""),
+            )
+        })
+        .unwrap_err();
+        assert_eq!(err, SpireError::EmptyTrainingSet { metric: None });
     }
 
     #[test]

@@ -23,67 +23,33 @@
 //!
 //! Equality with the batch path is therefore structural, not a tolerance:
 //! a `Clean` metric's fit is provably the batch fit, and a `Full` metric
-//! runs it. Commit mirrors the batch trainer's control flow exactly (skip
-//! ordering, quarantine flattening, strict-mode first-error, budget and
-//! empty checks), so reports, notices, and error behavior also match a
-//! batch retrain.
+//! runs it. A commit is the batch trainer's own training round
+//! (`ensemble::train_round`) with the `Clean` metrics' results passed in as
+//! settled, so the skip rule, quarantines, strict-mode first error, budget
+//! and empty checks, reports and notices are the batch trainer's by
+//! construction.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
 use crate::ensemble::{
-    QuarantinedMetric, SpireModel, TrainConfig, TrainQuarantineReason, TrainReport, TrainStrictness,
+    train_round, Settled, SpireModel, TrainConfig, TrainReport, TrainStrictness,
 };
-use crate::error::{Result, SpireError};
-use crate::parallel;
+use crate::error::Result;
 use crate::roofline::{FitArtifacts, PiecewiseRoofline, ThinningNotice};
-use crate::sample::{MetricColumn, MetricId, SampleSet};
-
-/// What the next commit must do for one metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Dirty {
-    /// New samples (if any) were exact no-ops; only the recorded
-    /// training-sample count needs patching.
-    Clean,
-    /// The fit must be recomputed from the full column.
-    Full,
-}
-
-/// What the last commit concluded about one metric.
-#[derive(Debug, Clone)]
-enum SlotStatus {
-    /// Samples exist but no commit has processed them yet.
-    Pending,
-    /// The metric has a validated roofline (owned by the maintained
-    /// model, not the slot).
-    Trained,
-    /// The metric's fit failed and was quarantined (lenient mode).
-    Quarantined(QuarantinedMetric),
-}
+use crate::sample::{MetricId, SampleSet};
 
 /// Per-metric incremental state.
 #[derive(Debug, Clone)]
 struct Slot {
-    status: SlotStatus,
-    dirty: Dirty,
+    /// The metric's result from the last successful commit, kept while
+    /// every sample since has been an exact no-op; `None` when the next
+    /// commit must fit it.
+    settled: Option<Settled>,
     /// What the metric's last fit left behind to classify new samples
     /// against; `Opaque` for quarantined or never-fitted metrics.
     artifacts: FitArtifacts,
-    /// The thinning notice the metric's current fit produced (kept across
-    /// clean commits: an unchanged front implies an unchanged decision).
-    notice: Option<ThinningNotice>,
-}
-
-impl Slot {
-    fn pending() -> Self {
-        Slot {
-            status: SlotStatus::Pending,
-            dirty: Dirty::Full,
-            artifacts: FitArtifacts::Opaque,
-            notice: None,
-        }
-    }
 }
 
 /// What one [`OnlineTrainer::commit`] did, beyond the model itself.
@@ -177,7 +143,8 @@ impl OnlineTrainer {
     ///
     /// # Errors
     ///
-    /// Returns [`SpireError::InvalidConfig`] if `config` fails validation.
+    /// Returns [`SpireError::InvalidConfig`](crate::SpireError::InvalidConfig)
+    /// if `config` fails validation.
     pub fn new(config: TrainConfig, strictness: TrainStrictness) -> Result<Self> {
         config.validate()?;
         Ok(OnlineTrainer {
@@ -193,259 +160,125 @@ impl OnlineTrainer {
 
     /// Appends a batch of samples, classifying each against the maintained
     /// per-metric state. No fitting happens here; call
-    /// [`OnlineTrainer::commit`] to refit the dirty metrics.
+    /// [`OnlineTrainer::commit`] to refit the `Full` metrics.
     pub fn push_batch(&mut self, batch: &SampleSet) {
         for (metric, column) in batch.by_metric() {
             if column.is_empty() {
                 continue;
             }
             self.touched.insert(metric.clone());
-            let slot = self
-                .slots
-                .entry(metric.clone())
-                .or_insert_with(Slot::pending);
+            let slot = self.slots.entry(metric.clone()).or_insert(Slot {
+                settled: None,
+                artifacts: FitArtifacts::Opaque,
+            });
             classify_rows(slot, column.intensities(), column.throughputs());
         }
         self.pending += batch.len();
         self.samples.merge(batch.clone());
     }
 
-    /// Refits every dirty metric and patches the maintained model
-    /// ([`OnlineTrainer::model`]), which is bit-identical to
-    /// [`SpireModel::train_with_report`] over all samples pushed so far.
+    /// Runs the batch trainer's training round over all samples pushed so
+    /// far, with every `Clean` metric keeping its last result, and patches
+    /// the maintained model ([`OnlineTrainer::model`]), which is
+    /// bit-identical to [`SpireModel::train_with_report`] over those
+    /// samples.
     ///
-    /// On error the trainer keeps its samples and dirty flags, so a later
-    /// push-and-commit behaves like a batch retrain over the larger set.
+    /// On error the trainer keeps its samples and per-metric state, so a
+    /// later push-and-commit behaves like a batch retrain over the larger
+    /// set.
     ///
     /// # Errors
     ///
-    /// Exactly the batch trainer's: [`SpireError::EmptyTrainingSet`],
+    /// Exactly the batch trainer's:
+    /// [`SpireError::EmptyTrainingSet`](crate::SpireError::EmptyTrainingSet),
     /// per-metric fit errors in [`TrainStrictness::Strict`] mode, and
-    /// [`SpireError::ErrorBudgetExceeded`] in lenient mode.
+    /// [`SpireError::ErrorBudgetExceeded`](crate::SpireError::ErrorBudgetExceeded)
+    /// in lenient mode.
     pub fn commit(&mut self) -> Result<UpdateOutcome> {
-        self.config.validate()?;
-        if self.samples.is_empty() {
-            return Err(SpireError::EmptyTrainingSet { metric: None });
-        }
+        let slots = &self.slots;
+        let round = train_round(
+            &self.samples,
+            &self.config,
+            self.strictness,
+            |metric| slots.get(metric)?.settled.as_ref(),
+            |column, options| {
+                PiecewiseRoofline::fit_slices(
+                    column.metric().clone(),
+                    column.intensities(),
+                    column.throughputs(),
+                    options,
+                )
+            },
+        )?;
 
-        // Phase 1: decide, for every metric, whether it is skipped, clean,
-        // or refitted — in by_metric (name) order, like the batch path.
-        let mut skipped: Vec<MetricId> = Vec::new();
-        let mut jobs: Vec<(&MetricId, &MetricColumn)> = Vec::new();
-        for (metric, column) in self.samples.by_metric() {
-            if column.len() < self.config.min_samples_per_metric {
-                skipped.push(metric.clone());
-                continue;
-            }
-            let settled = self.slots.get(metric).is_some_and(|slot| {
-                slot.dirty == Dirty::Clean
-                    && matches!(
-                        slot.status,
-                        SlotStatus::Trained | SlotStatus::Quarantined(_)
-                    )
-            });
-            if !settled {
-                jobs.push((metric, column));
-            }
-        }
-        if jobs.is_empty()
-            && self
-                .slots
-                .values()
-                .all(|s| matches!(s.status, SlotStatus::Pending))
-        {
-            // Every metric fell below the minimum sample count: the batch
-            // trainer reports an empty training set.
-            return Err(SpireError::EmptyTrainingSet { metric: None });
-        }
-
-        // Phase 2: run the jobs with per-metric panic containment, results
-        // in job (metric-name) order — exactly the batch fan-out.
-        let options = &self.config.fit;
-        let fitted = parallel::map_catching(&jobs, self.config.threads, |(_, column)| {
-            PiecewiseRoofline::fit_column_seeded(column, options)
-        });
-
-        // Phase 3: flatten the three failure channels per metric, exactly
-        // like the batch path, into staged slot updates.
-        type Staged = (
-            MetricId,
-            std::result::Result<
-                (PiecewiseRoofline, Option<ThinningNotice>, FitArtifacts),
-                QuarantinedMetric,
-            >,
-        );
-        let mut staged: Vec<Staged> = Vec::with_capacity(jobs.len());
-        for (&(metric, _), outcome) in jobs.iter().zip(fitted) {
-            let metric = metric.clone();
-            let checked: Result<_> = match outcome {
-                Err(message) => Err(SpireError::FitPanicked {
-                    metric: metric.to_string(),
-                    message,
-                }),
-                Ok(Err(e)) => Err(e),
-                Ok(Ok((fit, notice, artifacts))) => {
-                    fit.validate().map(|()| (fit, notice, artifacts))
-                }
-            };
-            match checked {
-                Ok(ok) => staged.push((metric, Ok(ok))),
-                Err(e) => {
-                    if self.strictness == TrainStrictness::Strict {
-                        return Err(e);
-                    }
-                    let reason = match &e {
-                        SpireError::FitPanicked { .. } => TrainQuarantineReason::FitPanicked,
-                        SpireError::ModelInvariantViolation { .. } => {
-                            TrainQuarantineReason::InvariantViolation
-                        }
-                        _ => TrainQuarantineReason::FitFailed,
-                    };
-                    staged.push((
-                        metric.clone(),
-                        Err(QuarantinedMetric {
-                            metric,
-                            reason,
-                            detail: e.to_string(),
-                        }),
-                    ));
-                }
-            }
-        }
-        drop(jobs);
-
-        // Phase 4: assemble the batch-equivalent report from staged results
-        // plus untouched slots, and enforce the batch error ordering
-        // (budget before the empty-ensemble check) WITHOUT mutating slots,
-        // so a failed commit leaves the trainer retryable.
-        let staged_map: BTreeMap<&MetricId, &Staged> = staged.iter().map(|s| (&s.0, s)).collect();
-        let mut quarantined: Vec<QuarantinedMetric> = Vec::new();
-        let mut metrics_trained = 0usize;
-        for (metric, column) in self.samples.by_metric() {
-            if column.len() < self.config.min_samples_per_metric {
-                continue;
-            }
-            match staged_map.get(metric) {
-                Some((_, Ok(_))) => metrics_trained += 1,
-                Some((_, Err(q))) => quarantined.push(q.clone()),
-                None => match self.slots.get(metric).map(|s| &s.status) {
-                    Some(SlotStatus::Trained) => metrics_trained += 1,
-                    Some(SlotStatus::Quarantined(q)) => quarantined.push(q.clone()),
-                    _ => unreachable!("non-skipped metric without a job must have a settled slot"),
-                },
-            }
-        }
-        drop(staged_map);
-        let report = TrainReport {
-            metrics_seen: skipped.len() + metrics_trained + quarantined.len(),
-            metrics_trained,
-            metrics_skipped: skipped.len(),
-            quarantined,
-            error_budget: self.config.metric_error_budget,
-        };
-        if report.budget_exceeded() {
-            return Err(SpireError::ErrorBudgetExceeded {
-                quarantined: report.quarantined.len(),
-                total: report.metrics_trained + report.quarantined.len(),
-                budget: report.error_budget,
-            });
-        }
-        if metrics_trained == 0 {
-            return Err(SpireError::EmptyTrainingSet { metric: None });
-        }
-
-        // Phase 5: the commit succeeds — apply the staged updates. The
-        // maintained model owns the fits: each staged roofline *moves*
-        // into it below, so a commit that refits r of n metrics clones
-        // zero rooflines and writes O(r) map entries.
-        let mut update = UpdateReport {
-            samples_added: self.pending,
-            ..UpdateReport::default()
-        };
-        let mut moved: Vec<(MetricId, Option<PiecewiseRoofline>)> =
-            Vec::with_capacity(staged.len());
-        for (metric, result) in staged {
-            update.refit_full.push(metric.clone());
-            let slot = self.slots.get_mut(&metric).expect("job metrics have slots");
-            match result {
-                Ok((fit, notice, artifacts)) => {
-                    slot.status = SlotStatus::Trained;
-                    slot.notice = notice;
-                    slot.artifacts = artifacts;
-                    moved.push((metric, Some(fit)));
-                }
-                Err(q) => {
-                    slot.status = SlotStatus::Quarantined(q);
-                    slot.artifacts = FitArtifacts::Opaque;
-                    slot.notice = None;
-                    moved.push((metric, None));
-                }
-            }
-            slot.dirty = Dirty::Clean;
-        }
-
-        // Phase 6: maintain the model in place. On the first successful
-        // commit every trained metric was staged this round (no slot was
-        // Clean before it), so `moved` is the complete roofline set; later
-        // commits only touch the refitted entries. Notices come from the
-        // slots in metric-name order (the batch job order).
-        let mut fit_notices = Vec::new();
-        for slot in self.slots.values() {
-            if matches!(slot.status, SlotStatus::Trained) {
-                fit_notices.extend(slot.notice.clone());
-            }
-        }
+        // The commit succeeds. Touched metrics that kept a trained result
+        // had only exact no-ops: the fit is unchanged, but a batch retrain
+        // would record the grown sample count.
+        let unchanged: Vec<MetricId> = self
+            .touched
+            .iter()
+            .filter(|metric| matches!(self.slots[*metric].settled, Some(Settled::Trained(_))))
+            .cloned()
+            .collect();
         let model = match self.model.as_mut() {
             Some(model) => {
-                model.set_skipped_metrics(skipped);
+                model.set_skipped_metrics(round.skipped);
                 model
             }
             None => self.model.insert(SpireModel::from_parts(
                 BTreeMap::new(),
                 self.config.clone(),
-                skipped,
+                round.skipped,
             )),
         };
-        for (metric, fit) in moved {
-            match fit {
-                Some(fit) => {
-                    model.rooflines_mut().insert(metric, fit);
+        for metric in &unchanged {
+            let count = self
+                .samples
+                .column(metric)
+                .expect("touched metrics have columns")
+                .len();
+            model
+                .rooflines_mut()
+                .get_mut(metric)
+                .expect("a settled trained metric is in the model")
+                .set_training_samples(count);
+        }
+
+        // The model owns the fits: each refit *moves* into it, so a commit
+        // that refits r of n metrics clones zero rooflines and writes O(r)
+        // map entries.
+        let mut refit_full = Vec::with_capacity(round.fitted.len());
+        for (metric, fitted) in round.fitted {
+            let slot = self
+                .slots
+                .get_mut(&metric)
+                .expect("fitted metrics have slots");
+            match fitted {
+                Ok((fit, notice, artifacts)) => {
+                    slot.settled = Some(Settled::Trained(notice));
+                    slot.artifacts = artifacts;
+                    model.rooflines_mut().insert(metric.clone(), fit);
                 }
-                None => {
+                Err(q) => {
+                    slot.settled = Some(Settled::Quarantined(q));
+                    slot.artifacts = FitArtifacts::Opaque;
                     model.rooflines_mut().remove(&metric);
                 }
             }
-        }
-        // Touched-but-clean metrics: the fit is unchanged, but a batch
-        // retrain would record the grown sample count. The refit list is
-        // in metric-name order, so membership is a binary search.
-        for metric in &self.touched {
-            if update.refit_full.binary_search(metric).is_ok() {
-                continue;
-            }
-            let Some(column) = self.samples.column(metric) else {
-                continue;
-            };
-            if column.len() < self.config.min_samples_per_metric {
-                continue;
-            }
-            if !matches!(
-                self.slots.get(metric).map(|s| &s.status),
-                Some(SlotStatus::Trained)
-            ) {
-                continue;
-            }
-            if let Some(fit) = model.rooflines_mut().get_mut(metric) {
-                fit.set_training_samples(column.len());
-                update.unchanged.push(metric.clone());
-            }
+            refit_full.push(metric);
         }
 
+        let update = UpdateReport {
+            samples_added: self.pending,
+            refit_full,
+            refit_right: Vec::new(),
+            unchanged,
+        };
         self.touched.clear();
         self.pending = 0;
         Ok(UpdateOutcome {
-            report,
-            fit_notices,
+            report: round.report,
+            fit_notices: round.fit_notices,
             update,
         })
     }
@@ -472,11 +305,12 @@ impl OnlineTrainer {
     }
 }
 
-/// Classifies one batch's rows for one metric: the slot stays `Clean` only
-/// if every row is an exact no-op for its current fit (see the module
-/// docs); the first row that is not makes it `Full`.
+/// Classifies one batch's rows for one metric: the slot keeps its settled
+/// result (`Clean`) only if every row is an exact no-op for its current
+/// fit (see the module docs); the first row that is not clears it
+/// (`Full`).
 fn classify_rows(slot: &mut Slot, intensities: &[f64], throughputs: &[f64]) {
-    if slot.dirty == Dirty::Full {
+    if slot.settled.is_none() {
         return;
     }
     let noop = |(&x, &y): (&f64, &f64)| match &slot.artifacts {
@@ -505,7 +339,7 @@ fn classify_rows(slot: &mut Slot, intensities: &[f64], throughputs: &[f64]) {
         }
     };
     if !intensities.iter().zip(throughputs).all(noop) {
-        slot.dirty = Dirty::Full;
+        slot.settled = None;
     }
 }
 
@@ -513,7 +347,7 @@ fn classify_rows(slot: &mut Slot, intensities: &[f64], throughputs: &[f64]) {
 mod tests {
     use super::*;
     use crate::ensemble::TrainOutcome;
-    use crate::Sample;
+    use crate::{Sample, SpireError};
 
     fn s(metric: &str, t: f64, w: f64, m: f64) -> Sample {
         Sample::new(metric, t, w, m).unwrap()

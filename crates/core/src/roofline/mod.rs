@@ -72,17 +72,19 @@ pub struct FitOptions {
     /// Opt-in fidelity/memory trade-off: when `true`, fronts larger than
     /// [`max_front_size`](FitOptions::max_front_size) are thinned to that
     /// size (keeping both extremes, evenly spaced interior picks) and a
-    /// [`ThinningNotice`] is reported through the logged fit entry points
-    /// (routed onto the diagnostics bus as an
+    /// [`ThinningNotice`] is reported in the training outcome
+    /// ([`TrainOutcome::fit_notices`](crate::ensemble::TrainOutcome::fit_notices),
+    /// routed onto the diagnostics bus as an
     /// [`Event::FrontThinned`](crate::pipeline::Event::FrontThinned)).
     /// When `false` (the default) the front is never thinned. Default
     /// `false`.
     pub thin_front: bool,
 }
 
-/// One lossy front-thinning decision made during a fit, reported by
-/// [`PiecewiseRoofline::fit_column_logged`] so callers can surface it on
-/// the diagnostics bus instead of losing it to stderr.
+/// One lossy front-thinning decision made during a fit, reported in
+/// [`TrainOutcome::fit_notices`](crate::ensemble::TrainOutcome::fit_notices)
+/// so callers can surface it on the diagnostics bus instead of losing it
+/// to stderr.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThinningNotice {
     /// The metric whose front was thinned.
@@ -169,8 +171,8 @@ enum Shape {
     },
 }
 
-/// The intermediate structures of a fit, cloned out for the online trainer
-/// so it can tell which new samples leave the fit exactly unchanged.
+/// The intermediate structures of a fit, kept by the online trainer so it
+/// can tell which new samples leave the fit exactly unchanged.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum FitArtifacts {
     /// Every finite-or-`+∞` training sample had `+∞` intensity and there
@@ -247,7 +249,7 @@ impl PiecewiseRoofline {
             intensities.push(s.intensity());
             throughputs.push(s.throughput());
         }
-        Self::fit_slices(metric, &intensities, &throughputs, options).map(|(fit, _)| fit)
+        Self::fit_slices(metric, &intensities, &throughputs, options).map(|(fit, _, _)| fit)
     }
 
     /// Fits a roofline directly from a [`MetricColumn`]'s cached derived
@@ -266,83 +268,30 @@ impl PiecewiseRoofline {
     ///
     /// [`fit`]: PiecewiseRoofline::fit
     pub fn fit_column(column: &MetricColumn, options: &FitOptions) -> Result<Self> {
-        Self::fit_column_logged(column, options).map(|(fit, _)| fit)
-    }
-
-    /// [`fit_column`](PiecewiseRoofline::fit_column), additionally
-    /// reporting any lossy [`ThinningNotice`] the fit made instead of
-    /// printing it. The fitted roofline is identical to `fit_column`'s.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`fit_column`](PiecewiseRoofline::fit_column).
-    pub fn fit_column_logged(
-        column: &MetricColumn,
-        options: &FitOptions,
-    ) -> Result<(Self, Option<ThinningNotice>)> {
         Self::fit_slices(
             column.metric().clone(),
             column.intensities(),
             column.throughputs(),
             options,
         )
+        .map(|(fit, _, _)| fit)
     }
 
-    /// [`fit_column_logged`](PiecewiseRoofline::fit_column_logged),
-    /// additionally returning the [`FitArtifacts`] the online trainer
-    /// classifies new samples against (the apex, the *un-thinned* Pareto
-    /// front, and the infinite-intensity tail height).
+    /// The one fit body: `intensities[i]`/`throughputs[i]` describe sample
+    /// `i`. Rows with `+∞` intensity feed the right region's tail height;
+    /// finite rows feed the hull and Pareto front. A NaN or −∞ intensity,
+    /// which only a hostile column can carry, feeds neither region.
     ///
-    /// The fitted roofline is bit-identical to `fit_column_logged`'s —
-    /// both run the same slice fit; this entry point only additionally
-    /// clones out the intermediate structures.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`fit_column`](PiecewiseRoofline::fit_column).
-    pub(crate) fn fit_column_seeded(
-        column: &MetricColumn,
+    /// Besides the roofline it returns any lossy [`ThinningNotice`] the
+    /// fit made and the [`FitArtifacts`] the online trainer classifies new
+    /// samples against; the un-thinned front moves into the artifacts, so
+    /// a caller that drops them pays no copy.
+    pub(crate) fn fit_slices(
+        metric: MetricId,
+        intensities: &[f64],
+        throughputs: &[f64],
         options: &FitOptions,
     ) -> Result<(Self, Option<ThinningNotice>, FitArtifacts)> {
-        let (fit, notice, artifacts) = Self::fit_slices_impl(
-            column.metric().clone(),
-            column.intensities(),
-            column.throughputs(),
-            options,
-            true,
-        )?;
-        Ok((
-            fit,
-            notice,
-            artifacts.expect("artifacts requested from the seeded fit"),
-        ))
-    }
-
-    /// The shared slice-based fit: `intensities[i]`/`throughputs[i]`
-    /// describe sample `i`. Rows with `+∞` intensity feed the right
-    /// region's tail height; finite rows feed the hull and Pareto front.
-    /// A NaN or −∞ intensity, which only a hostile column can carry, feeds
-    /// neither region.
-    fn fit_slices(
-        metric: MetricId,
-        intensities: &[f64],
-        throughputs: &[f64],
-        options: &FitOptions,
-    ) -> Result<(Self, Option<ThinningNotice>)> {
-        Self::fit_slices_impl(metric, intensities, throughputs, options, false)
-            .map(|(fit, notice, _)| (fit, notice))
-    }
-
-    /// The fit body. `want_artifacts` gates the extra clones that seed the
-    /// online trainer's incremental state; the batch hot path passes
-    /// `false` and pays nothing.
-    fn fit_slices_impl(
-        metric: MetricId,
-        intensities: &[f64],
-        throughputs: &[f64],
-        options: &FitOptions,
-        want_artifacts: bool,
-    ) -> Result<(Self, Option<ThinningNotice>, Option<FitArtifacts>)> {
         options.validate()?;
         debug_assert_eq!(intensities.len(), throughputs.len());
         let count = intensities.len();
@@ -362,10 +311,10 @@ impl PiecewiseRoofline {
         }
         if !any_finite {
             let height = inf_height.unwrap_or(0.0);
-            let artifacts = want_artifacts.then_some(match inf_height {
+            let artifacts = match inf_height {
                 Some(inf_height) => FitArtifacts::Constant { inf_height },
                 None => FitArtifacts::Opaque,
-            });
+            };
             return Ok((
                 PiecewiseRoofline {
                     metric,
@@ -444,20 +393,17 @@ impl PiecewiseRoofline {
         // points (which the trainer does not keep), Plateau's height is not
         // front-driven, and the degenerate zero-throughput fallbacks bypass
         // the front entirely.
-        let artifacts = want_artifacts.then(|| {
-            let maintainable = options.right_fit == RightFitMode::Graph
-                && apex.y > 0.0
-                && front.last() == Some(&apex);
-            if maintainable {
-                FitArtifacts::Graph {
-                    apex,
-                    front: front.clone(),
-                    inf_height,
-                }
-            } else {
-                FitArtifacts::Opaque
+        let maintainable =
+            options.right_fit == RightFitMode::Graph && apex.y > 0.0 && front.last() == Some(&apex);
+        let artifacts = if maintainable {
+            FitArtifacts::Graph {
+                apex,
+                front,
+                inf_height,
             }
-        });
+        } else {
+            FitArtifacts::Opaque
+        };
         Ok((
             PiecewiseRoofline {
                 metric,
@@ -1007,7 +953,7 @@ mod tests {
                 right_fit,
                 ..FitOptions::default()
             };
-            let (r, _) =
+            let (r, _, _) =
                 PiecewiseRoofline::fit_slices("m".into(), &intensities, &throughputs, &opts)
                     .unwrap();
             assert_eq!(r.apex(), Some(Point::new(2.0, 2.0)));
@@ -1019,7 +965,7 @@ mod tests {
         }
         // A column of such rows alone is a zero constant, and a `+∞` row
         // still sets the tail.
-        let (r, _) = PiecewiseRoofline::fit_slices(
+        let (r, _, _) = PiecewiseRoofline::fit_slices(
             "m".into(),
             &[f64::NEG_INFINITY, f64::NAN],
             &[9.0, 9.0],
@@ -1028,7 +974,7 @@ mod tests {
         .unwrap();
         assert!(r.is_constant());
         assert_eq!(r.estimate(1.0), 0.0);
-        let (r, _) = PiecewiseRoofline::fit_slices(
+        let (r, _, _) = PiecewiseRoofline::fit_slices(
             "m".into(),
             &[2.0, f64::INFINITY, f64::NEG_INFINITY],
             &[2.0, 0.5, 9.0],

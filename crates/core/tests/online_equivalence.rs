@@ -3,7 +3,9 @@
 //! *bit-identical* model, report, and notices of one batch retrain over
 //! the concatenated samples — at both `threads = 1` (serial) and
 //! `threads = 0` (auto fan-out). Two deterministic cases check every
-//! commit of perfbench-shaped traffic and of a thinned front the same way.
+//! commit of perfbench-shaped traffic and of a thinned front the same way,
+//! and a poisoned stream pins quarantines, the strict-mode first error
+//! and the error budget against the batch trainer.
 //!
 //! Equality here is structural (`PartialEq` over every fitted segment),
 //! not a tolerance: the maintenance layer only skips work it can prove is
@@ -13,8 +15,9 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use spire_core::fault::{poison_metric, FaultRng};
 use spire_core::{
-    FitOptions, MetricId, OnlineTrainer, Sample, SampleSet, SpireModel, TrainConfig,
+    FitOptions, MetricId, OnlineTrainer, Sample, SampleSet, SpireError, SpireModel, TrainConfig,
     TrainStrictness, UpdateOutcome,
 };
 
@@ -246,4 +249,97 @@ fn thinned_front_refits_match_batch_retrains() {
     let outcome = commit_matches_batch(&mut trainer, &dominated, &all);
     assert_eq!(outcome.update.unchanged, vec![MetricId::new("m")]);
     assert_eq!(outcome.fit_notices.len(), 1);
+}
+
+/// Six clean rows for each of `metrics`, shifted by `offset` so later
+/// batches add new points.
+fn clean_rows(metrics: &[&str], offset: usize) -> SampleSet {
+    let mut set = SampleSet::new();
+    for (m, metric) in metrics.iter().enumerate() {
+        for i in 1..7 {
+            let w = (4 * i + m + offset) as f64;
+            let delta = (12 - i) as f64 + 0.5 * offset as f64;
+            set.push(Sample::new(*metric, 10.0, w, delta).expect("valid"));
+        }
+    }
+    set
+}
+
+/// Streams poisoned with [`poison_metric`] (rows whose fit fails
+/// validation) commit to a batch retrain's model and quarantine list
+/// after every commit: a quarantined metric stays settled across a
+/// commit that does not touch it, and refits when it gets new rows.
+/// Strict mode fails with the batch trainer's first error, and an
+/// exceeded error budget fails the first commit with no model built.
+#[test]
+fn poisoned_streams_match_batch_retrains() {
+    let names = ["m0", "m1", "m2", "m3", "m4", "m5"];
+    let mut rng = FaultRng::new(0xfeed);
+    let mut trainer =
+        OnlineTrainer::new(TrainConfig::default(), TrainStrictness::Lenient).expect("valid");
+
+    let mut all = clean_rows(&names, 0);
+    poison_metric(&mut all, &MetricId::new("m1"), &mut rng, 8);
+    let seed = all.clone();
+    let outcome = commit_matches_batch(&mut trainer, &seed, &all);
+    assert_eq!(outcome.report.quarantined.len(), 1);
+    assert_eq!(outcome.report.quarantined[0].metric, MetricId::new("m1"));
+
+    // `m1` gets no rows: its quarantine is carried, not refitted.
+    let untouched = clean_rows(&["m3", "m4"], 3);
+    all.merge(untouched.clone());
+    let outcome = commit_matches_batch(&mut trainer, &untouched, &all);
+    assert!(!outcome.update.refit_full.contains(&MetricId::new("m1")));
+    assert_eq!(outcome.report.quarantined.len(), 1);
+
+    // New rows for `m1` refit it; a second metric is poisoned.
+    let mut later = clean_rows(&["m1", "m5"], 5);
+    poison_metric(&mut later, &MetricId::new("m5"), &mut rng, 8);
+    all.merge(later.clone());
+    let outcome = commit_matches_batch(&mut trainer, &later, &all);
+    assert!(outcome.update.refit_full.contains(&MetricId::new("m1")));
+    assert_eq!(outcome.report.quarantined.len(), 2);
+
+    // Strict: a clean commit, then a poisoned one fails with the batch
+    // trainer's error and leaves the committed model in place.
+    let mut strict =
+        OnlineTrainer::new(TrainConfig::default(), TrainStrictness::Strict).expect("valid");
+    let clean = clean_rows(&names, 0);
+    strict.push_batch(&clean);
+    strict.commit().expect("clean strict commit");
+    let mut poisoned = clean_rows(&names, 2);
+    poison_metric(&mut poisoned, &MetricId::new("m2"), &mut rng, 8);
+    poison_metric(&mut poisoned, &MetricId::new("m4"), &mut rng, 8);
+    strict.push_batch(&poisoned);
+    let err = strict.commit().expect_err("poisoned strict commit");
+    let expected = SpireModel::train_with_report(
+        strict.samples(),
+        TrainConfig::default(),
+        TrainStrictness::Strict,
+    )
+    .expect_err("poisoned strict retrain");
+    assert_eq!(err, expected);
+    assert_eq!(
+        strict.model().expect("earlier commit"),
+        &SpireModel::train(&clean, TrainConfig::default()).expect("clean retrain")
+    );
+
+    // Budget 0.1: the first stream's one quarantined metric of six
+    // exceeds it on the first commit, as in the batch trainer, and no
+    // model exists.
+    let config = TrainConfig {
+        metric_error_budget: 0.1,
+        ..TrainConfig::default()
+    };
+    let mut budgeted = OnlineTrainer::new(config.clone(), TrainStrictness::Lenient).expect("valid");
+    budgeted.push_batch(&seed);
+    let err = budgeted.commit().expect_err("budget exceeded");
+    assert!(
+        matches!(err, SpireError::ErrorBudgetExceeded { .. }),
+        "{err:?}"
+    );
+    let expected = SpireModel::train_with_report(&seed, config, TrainStrictness::Lenient)
+        .expect_err("batch budget exceeded");
+    assert_eq!(err, expected);
+    assert!(budgeted.model().is_none());
 }
