@@ -369,7 +369,7 @@ struct CovAcc {
 /// its timestamp.
 type Interval = (u64, Vec<(u32, f64)>);
 
-/// Streaming ingest state shared by the text and row entry points.
+/// The streaming state of one [`ingest_perf_csv`] run.
 ///
 /// Event names are interned into dense ids on first sight; a capture
 /// lists its events in the same order every interval, so the next row's
@@ -611,26 +611,6 @@ impl<'a> Assembler<'a> {
     }
 }
 
-/// Runs scanned lines through one [`Assembler`]: the engine behind
-/// [`ingest_perf_csv`] and the strict [`crate::perf::samples_from_rows`].
-///
-/// # Panics
-///
-/// Panics if `config` fails [`IngestConfig::validate`].
-pub(crate) fn assemble<'a>(
-    config: &'a IngestConfig,
-    rows: impl IntoIterator<Item = (usize, RowScan<'a>)>,
-) -> Ingest {
-    config
-        .validate()
-        .expect("ingest requires a valid IngestConfig");
-    let mut asm = Assembler::new(config);
-    for (line, scan) in rows {
-        asm.take(line, scan);
-    }
-    asm.finish()
-}
-
 /// Fault-tolerant ingest of `perf stat -I -x,` CSV text.
 ///
 /// Never fails and never panics on malformed input: structurally broken
@@ -639,7 +619,9 @@ pub(crate) fn assemble<'a>(
 /// while everything recoverable is multiplex-corrected and assembled into
 /// samples. A truncated or wedged capture therefore yields a partial,
 /// honestly-labeled [`SampleSet`] plus an [`IngestReport`] instead of an
-/// error.
+/// error. An all-or-nothing import ends the call with
+/// [`Ingest::into_strict`], under `error_budget: 0.0` to refuse any
+/// quarantined row.
 ///
 /// ```
 /// use spire_counters::{ingest_perf_csv, IngestConfig};
@@ -663,7 +645,14 @@ pub(crate) fn assemble<'a>(
 /// Panics if `config` fails [`IngestConfig::validate`] (a programming
 /// error, not a data error).
 pub fn ingest_perf_csv(text: &str, config: &IngestConfig) -> Ingest {
-    assemble(config, scan_rows(text))
+    config
+        .validate()
+        .expect("ingest requires a valid IngestConfig");
+    let mut asm = Assembler::new(config);
+    for (line, scan) in scan_rows(text) {
+        asm.take(line, scan);
+    }
+    asm.finish()
 }
 
 #[cfg(test)]

@@ -10,12 +10,13 @@
 //!   SPIRE sample per metric per interval (the paper's 2-second `perf
 //!   stat` intervals), with reprogramming overhead accounted (the paper's
 //!   1.6% average overhead statistic).
-//! * [`perf`] — imports real `perf stat -I -x,` output, so models can be
-//!   trained on actual hardware counters with the same pipeline.
-//! * [`ingest`] — the multiplex-aware, fault-tolerant version of that
-//!   import: counts are scaled by `1 / running_frac`, broken rows are
+//! * [`ingest`] — the one import of real `perf stat -I -x,` output, so
+//!   models can be trained on actual hardware counters with the same
+//!   pipeline: counts are scaled by `1 / running_frac`, broken rows are
 //!   quarantined under an error budget, and every run yields an
-//!   [`IngestReport`].
+//!   [`IngestReport`]; [`Ingest::into_strict`] makes it all-or-nothing.
+//! * [`perf`] — the line scanner for that format, and an exporter that
+//!   writes simulator runs in it.
 //! * [`proc`] — supervises a live `perf` child process with deadline,
 //!   retry, and graceful-degradation handling.
 //! * [`Dataset`] — labeled, JSON-persisted sample corpora.

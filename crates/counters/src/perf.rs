@@ -1,152 +1,29 @@
-//! Import of real `perf stat` interval data.
+//! The `perf stat` CSV format: the line scanner behind
+//! [`crate::ingest_perf_csv`] and a simulator exporter that writes it.
 //!
 //! The paper collects its samples with Linux perf's `stat` mode. This
-//! module parses the machine-readable output of
+//! module scans the machine-readable output of
 //!
 //! ```text
 //! perf stat -I <ms> -x, -e <events> -- <workload>
 //! ```
 //!
-//! and converts it into SPIRE [`Sample`](spire_core::Sample)s, so a
-//! model can be trained on a real CPU's counters with the same code path
-//! used for the simulator.
+//! one row per `(interval, event)`: `time,count,unit,event,run_time,
+//! pct_running[,...]`. Rows whose count is `<not counted>` or
+//! `<not supported>` carry no count. [`crate::ingest_perf_csv`] turns the
+//! rows into SPIRE [`Sample`](spire_core::Sample)s: within each interval
+//! the designated *work* and *time* events supply `W` and `T`, every
+//! other event becomes one sample, and multiplexed counts are scaled by
+//! `1 / running_frac` (see [`crate::IngestConfig`]). A caller that wants
+//! an all-or-nothing import ends that call with
+//! [`crate::Ingest::into_strict`].
 //!
-//! Each CSV row is `time,count,unit,event,run_time,pct_running[,...]`;
-//! rows whose count is `<not counted>` or `<not supported>` are skipped.
-//! Within each interval, the designated *work* and *time* events supply
-//! `W` and `T`, and every other event becomes one sample.
-//!
-//! Multiplexed captures report a `pct_running` below 100%: the counter was
-//! live for only that fraction of the interval, so the raw count
-//! undercounts the interval by the same factor. The conversion functions
-//! here scale counts by `1 / running_frac` (see [`crate::IngestConfig`]);
-//! the fault-tolerant entry point with quarantine accounting is
-//! [`crate::ingest_perf_csv`].
-
-use std::fmt;
-
-use serde::{Deserialize, Serialize};
-use spire_core::SampleSet;
-
-use crate::ingest::{self, IngestConfig};
-
-/// One parsed `perf stat -I -x,` row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PerfRow {
-    /// Interval end time in seconds.
-    pub time_s: f64,
-    /// Raw counter value for the interval (not yet corrected for
-    /// multiplexing; see [`PerfRow::running_frac`]).
-    pub count: f64,
-    /// Event name.
-    pub event: String,
-    /// Fraction of the interval the event was actually counted
-    /// (`pct_running / 100`), when present.
-    pub running_frac: Option<f64>,
-}
-
-/// Errors produced while parsing perf output.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum PerfParseError {
-    /// A row had too few comma-separated fields.
-    MalformedRow {
-        /// 1-based line number.
-        line: usize,
-        /// The offending row text.
-        row: String,
-    },
-    /// A numeric field failed to parse.
-    BadNumber {
-        /// 1-based line number.
-        line: usize,
-        /// The field's content.
-        value: String,
-    },
-    /// No interval contained both the work and time events.
-    MissingFixedEvents {
-        /// The work event looked for.
-        work_event: String,
-        /// The time event looked for.
-        time_event: String,
-    },
-}
-
-impl fmt::Display for PerfParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PerfParseError::MalformedRow { line, row } => {
-                write!(f, "malformed perf row at line {line}: {row:?}")
-            }
-            PerfParseError::BadNumber { line, value } => {
-                write!(f, "unparsable number at line {line}: {value:?}")
-            }
-            PerfParseError::MissingFixedEvents {
-                work_event,
-                time_event,
-            } => write!(
-                f,
-                "no interval contains both `{work_event}` and `{time_event}`"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for PerfParseError {}
-
-/// Parses `perf stat -I <ms> -x,` output into rows.
-///
-/// Comment lines (starting with `#`), empty lines, and rows whose count
-/// is `<not counted>` / `<not supported>` are skipped silently.
-///
-/// # Errors
-///
-/// Returns [`PerfParseError`] for structurally malformed rows.
-///
-/// ```
-/// use spire_counters::perf::parse_perf_csv;
-///
-/// let text = "\
-/// 1.000241,1200000000,,inst_retired.any,1000000000,100.00,,
-/// 1.000241,1000000000,,cpu_clk_unhalted.thread,1000000000,100.00,,
-/// 1.000241,5000000,,br_misp_retired.all_branches,250000000,25.00,,
-/// 1.000241,<not counted>,,idq.dsb_uops,0,0.00,,
-/// ";
-/// let rows = parse_perf_csv(text)?;
-/// assert_eq!(rows.len(), 3); // the not-counted row is dropped
-/// assert_eq!(rows[2].event, "br_misp_retired.all_branches");
-/// # Ok::<(), spire_counters::perf::PerfParseError>(())
-/// ```
-pub fn parse_perf_csv(text: &str) -> Result<Vec<PerfRow>, PerfParseError> {
-    let mut rows = Vec::new();
-    for (line, scan) in scan_rows(text) {
-        match scan {
-            RowScan::Row(row) => rows.push(PerfRow {
-                time_s: row.time_s,
-                count: row.count,
-                event: row.event.to_owned(),
-                running_frac: row.running_frac,
-            }),
-            RowScan::Blank | RowScan::NotCounted { .. } => {}
-            RowScan::Malformed { row } => {
-                return Err(PerfParseError::MalformedRow {
-                    line,
-                    row: row.to_owned(),
-                });
-            }
-            RowScan::BadNumber { value } => {
-                return Err(PerfParseError::BadNumber {
-                    line,
-                    value: value.to_owned(),
-                });
-            }
-        }
-    }
-    Ok(rows)
-}
+//! [`export_perf_csv`] runs the simulator and writes the same format, so
+//! simulated captures go through the parser real perf output goes
+//! through.
 
 /// A structurally valid numeric row whose event name borrows from the
-/// capture text (or from a [`PerfRow`]).
+/// capture text.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Row<'a> {
     pub(crate) time_s: f64,
@@ -155,24 +32,8 @@ pub(crate) struct Row<'a> {
     pub(crate) running_frac: Option<f64>,
 }
 
-impl PerfRow {
-    /// This row, borrowing its event name.
-    pub(crate) fn as_row(&self) -> Row<'_> {
-        Row {
-            time_s: self.time_s,
-            count: self.count,
-            event: &self.event,
-            running_frac: self.running_frac,
-        }
-    }
-}
-
 /// The outcome of scanning one line of perf CSV; text borrows from the
-/// capture.
-///
-/// The strict path ([`parse_perf_csv`]) turns the failure variants into
-/// hard [`PerfParseError`]s; the fault-tolerant path
-/// ([`crate::ingest_perf_csv`]) quarantines them instead.
+/// capture. [`crate::ingest_perf_csv`] quarantines the failure variants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum RowScan<'a> {
     /// A structurally valid numeric row.
@@ -326,67 +187,9 @@ fn trim(s: &str) -> &str {
     &s[trim_bounds(s)]
 }
 
-/// Converts parsed perf rows into a SPIRE [`SampleSet`], correcting
-/// multiplexed counts.
-///
-/// Rows are grouped by interval timestamp; within each interval, the
-/// `work_event` row supplies `W`, the `time_event` row supplies `T`, and
-/// every other row becomes one sample for its event. Counts with a
-/// running fraction below 100% are scaled by `1 / running_frac` (the
-/// counter was live for only that fraction of the interval); rows whose
-/// fraction falls below the default [`IngestConfig::min_running_frac`]
-/// floor are dropped as unreliable rather than wildly extrapolated.
-/// Intervals missing either fixed event are skipped.
-///
-/// This is the strict wrapper over [`crate::ingest_perf_csv`]'s engine;
-/// use that entry point to also receive an [`crate::IngestReport`] of
-/// what was scaled, quarantined, or dropped.
-///
-/// # Errors
-///
-/// Returns [`PerfParseError::MissingFixedEvents`] if no interval carries
-/// both fixed events (which would produce an empty set).
-pub fn samples_from_rows(
-    rows: &[PerfRow],
-    work_event: &str,
-    time_event: &str,
-) -> Result<SampleSet, PerfParseError> {
-    let config = IngestConfig {
-        work_event: work_event.to_owned(),
-        time_event: time_event.to_owned(),
-        ..IngestConfig::default()
-    };
-    let out = ingest::assemble(
-        &config,
-        rows.iter()
-            .enumerate()
-            .map(|(idx, row)| (idx + 1, RowScan::Row(row.as_row()))),
-    );
-    if out.report.intervals_ingested == 0 {
-        return Err(PerfParseError::MissingFixedEvents {
-            work_event: work_event.to_owned(),
-            time_event: time_event.to_owned(),
-        });
-    }
-    Ok(out.samples)
-}
-
-/// One-step convenience: parse perf CSV text and build multiplex-corrected
-/// samples using the paper's fixed events (`inst_retired.any` and
-/// `cpu_clk_unhalted.thread`).
-///
-/// # Errors
-///
-/// Propagates [`PerfParseError`] from parsing and conversion.
-pub fn import_perf_stat(text: &str) -> Result<SampleSet, PerfParseError> {
-    let rows = parse_perf_csv(text)?;
-    let config = IngestConfig::default();
-    samples_from_rows(&rows, &config.work_event, &config.time_event)
-}
-
 /// Runs `stream` on `core` and emits `perf stat -I -x,`-style CSV: one
 /// row per `(interval, event)` with the fixed counters included, exactly
-/// what [`import_perf_stat`] consumes. `cycles_per_second` calibrates
+/// what [`crate::ingest_perf_csv`] consumes. `cycles_per_second` calibrates
 /// the timestamp column (perf reports wall-clock seconds).
 ///
 /// Unlike [`crate::collect`], this reads every event each interval (as
@@ -434,6 +237,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ingest_perf_csv, IngestConfig, QuarantineReason};
+    use spire_core::{SampleSet, SpireError};
 
     const SAMPLE: &str = "\
 # started on Fri Jul  4 10:00:00 2026
@@ -447,9 +252,51 @@ mod tests {
 2.000300,250000,,longest_lat_cache.miss,500000000,50.00,,
 ";
 
+    /// The structurally valid numeric rows of `text`.
+    fn rows(text: &str) -> Vec<Row<'_>> {
+        scan_rows(text)
+            .filter_map(|(_, scan)| match scan {
+                RowScan::Row(row) => Some(row),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Ingest with zero tolerance: no quarantined row at all.
+    fn zero_budget() -> IngestConfig {
+        IngestConfig {
+            error_budget: 0.0,
+            ..IngestConfig::default()
+        }
+    }
+
+    /// The all-or-nothing import: samples only if no row was quarantined.
+    fn import(text: &str) -> SampleSet {
+        ingest_perf_csv(text, &zero_budget())
+            .into_strict()
+            .expect("no row is quarantined")
+    }
+
+    /// Checks that `text`'s one line is quarantined for `reason` and that
+    /// the zero-tolerance strict import refuses it.
+    fn assert_strict_refusal(text: &str, reason: QuarantineReason) {
+        let out = ingest_perf_csv(text, &zero_budget());
+        let details = &out.report.quarantine_details;
+        assert_eq!(details.len(), 1);
+        assert_eq!((details[0].line, details[0].reason), (1, reason));
+        assert!(matches!(
+            out.into_strict(),
+            Err(SpireError::ErrorBudgetExceeded {
+                quarantined: 1,
+                total: 1,
+                ..
+            })
+        ));
+    }
+
     #[test]
     fn parses_rows_and_skips_comments_and_not_counted() {
-        let rows = parse_perf_csv(SAMPLE).unwrap();
+        let rows = rows(SAMPLE);
         assert_eq!(rows.len(), 7);
         assert!((rows[0].time_s - 1.000241).abs() < 1e-9);
         assert_eq!(rows[2].running_frac, Some(0.25));
@@ -457,7 +304,7 @@ mod tests {
 
     #[test]
     fn builds_samples_grouped_by_interval() {
-        let set = import_perf_stat(SAMPLE).unwrap();
+        let set = import(SAMPLE);
         // Interval 1: 2 metric rows; interval 2: 1 (misp not counted).
         assert_eq!(set.len(), 3);
         let misp = set.samples_for(&spire_core::MetricId::new("br_misp_retired.all_branches"));
@@ -472,7 +319,7 @@ mod tests {
 
     #[test]
     fn multiplexed_counts_are_scaled_by_running_fraction() {
-        let miss = import_perf_stat(SAMPLE).unwrap();
+        let miss = import(SAMPLE);
         let miss = miss.samples_for(&spire_core::MetricId::new("longest_lat_cache.miss"));
         assert_eq!(miss.len(), 2);
         // 300000 at 25% -> 1.2e6; 250000 at 50% -> 5e5.
@@ -482,19 +329,17 @@ mod tests {
 
     #[test]
     fn malformed_row_is_an_error() {
-        let err = parse_perf_csv("1.0,42\n").unwrap_err();
-        assert!(matches!(err, PerfParseError::MalformedRow { line: 1, .. }));
+        assert_strict_refusal("1.0,42\n", QuarantineReason::MalformedRow);
     }
 
     #[test]
     fn bad_number_is_an_error() {
-        let err = parse_perf_csv("abc,42,,evt,1,100,,\n").unwrap_err();
-        assert!(matches!(err, PerfParseError::BadNumber { .. }));
+        assert_strict_refusal("abc,42,,evt,1,100,,\n", QuarantineReason::BadNumber);
     }
 
     #[test]
     fn trailing_commas_are_tolerated() {
-        let rows = parse_perf_csv("1.0,42,,evt,1,100,,,,,,\n").unwrap();
+        let rows = rows("1.0,42,,evt,1,100,,,,,,\n");
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].event, "evt");
         assert_eq!(rows[0].running_frac, Some(1.0));
@@ -507,7 +352,7 @@ mod tests {
 1.0,<not supported>,,slots,0,0.00,,
 1.0,42,,evt,1,100,,
 ";
-        let rows = parse_perf_csv(text).unwrap();
+        let rows = rows(text);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].event, "evt");
         let scans: Vec<RowScan<'_>> = scan_rows(text).map(|(_, scan)| scan).collect();
@@ -535,28 +380,28 @@ mod tests {
 
     #[test]
     fn empty_running_fraction_field_means_unknown() {
-        let rows = parse_perf_csv("1.0,42,,evt,1,,,\n").unwrap();
-        assert_eq!(rows[0].running_frac, None);
+        let rows_a = rows("1.0,42,,evt,1,,,\n");
+        assert_eq!(rows_a[0].running_frac, None);
         // A row short enough to have no fraction field at all.
-        let rows = parse_perf_csv("1.0,42,,evt\n").unwrap();
-        assert_eq!(rows[0].running_frac, None);
+        let rows_b = rows("1.0,42,,evt\n");
+        assert_eq!(rows_b[0].running_frac, None);
         // Unknown fractions are ingested unscaled.
         let text = "\
 1.0,100,,inst_retired.any,1,100,,
 1.0,50,,cpu_clk_unhalted.thread,1,100,,
 1.0,7,,evt,1,,,
 ";
-        let set = import_perf_stat(text).unwrap();
+        let set = import(text);
         assert_eq!(set.iter().next().unwrap().metric_delta(), 7.0);
     }
 
     #[test]
     fn missing_fixed_events_is_an_error() {
         let text = "1.0,100,,some.event,1,100,,\n";
-        let rows = parse_perf_csv(text).unwrap();
-        let err =
-            samples_from_rows(&rows, "inst_retired.any", "cpu_clk_unhalted.thread").unwrap_err();
-        assert!(matches!(err, PerfParseError::MissingFixedEvents { .. }));
+        let out = ingest_perf_csv(text, &IngestConfig::default());
+        assert_eq!(out.report.intervals_ingested, 0);
+        assert_eq!(out.report.intervals_dropped, 1);
+        assert!(out.samples.is_empty());
     }
 
     #[test]
@@ -567,7 +412,7 @@ mod tests {
 1.0,7,,some.event,1,100,,
 2.0,9,,some.event,1,100,,
 ";
-        let set = import_perf_stat(text).unwrap();
+        let set = import(text);
         assert_eq!(set.len(), 1);
     }
 
@@ -589,7 +434,7 @@ mod tests {
             Event::BrMispRetiredAllBranches,
         ];
         let csv = export_perf_csv(&mut core, &mut stream, &events, 5_000, 100_000, 1e9);
-        let set = import_perf_stat(&csv).unwrap();
+        let set = import(&csv);
         assert!(!set.is_empty());
         // Two non-fixed events per interval.
         assert_eq!(set.metrics().count(), 2);
@@ -611,7 +456,7 @@ mod tests {
 1.0,50,,cpu_clk_unhalted.thread,1,100,,
 1.0,0,,some.event,1,100,,
 ";
-        let set = import_perf_stat(text).unwrap();
+        let set = import(text);
         assert_eq!(set.len(), 1);
         assert!(set.iter().next().unwrap().intensity().is_infinite());
     }

@@ -14,7 +14,6 @@
 
 use spire_core::fault::{flip_digit, truncate, FaultRng};
 use spire_core::SampleSet;
-use spire_counters::perf::{parse_perf_csv, samples_from_rows};
 use spire_counters::{ingest_perf_csv, IngestConfig};
 
 /// The hand-written part of the capture.
@@ -183,16 +182,6 @@ fn render(text: &str) -> String {
         out.push_str("\n-- samples --\n");
         out.push_str(&sample_bits(&ingest.samples));
     }
-    // The strict row path over the lines the strict parser accepts.
-    let strict: String = text
-        .split_inclusive('\n')
-        .filter(|line| parse_perf_csv(line).is_ok())
-        .collect();
-    let rows = parse_perf_csv(&strict).expect("filtered lines parse");
-    let set = samples_from_rows(&rows, "inst_retired.any", "cpu_clk_unhalted.thread")
-        .expect("some interval carries both fixed events");
-    out.push_str(&format!("== samples_from_rows: {} rows ==\n", rows.len()));
-    out.push_str(&sample_bits(&set));
     out
 }
 

@@ -22,7 +22,7 @@
 //!   by request identity including the serving fingerprint.
 //!
 //! All serving decisions — sheds, isolations, reloads, salvages — are
-//! typed events on the shared `DiagnosticsBus`, so the daemon's event
+//! typed events on the bus of the daemon's one `RunContext`, so its event
 //! stream is greppable and its degraded state maps to the CLI's exit
 //! code 2 convention.
 

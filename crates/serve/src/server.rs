@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use spire_core::catalog::MetricCatalog;
 use spire_core::parallel;
-use spire_core::pipeline::{DiagnosticsBus, Event, EventSink, PipelineConfig, RunContext};
+use spire_core::pipeline::{Event, EventSink, PipelineConfig, RunContext};
 
 use crate::cache::request_key;
 use crate::frame::{read_frame, write_frame, FrameError};
@@ -92,17 +92,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Forwards per-context events onto the server's shared bus, so stage
-/// events emitted inside an ad-hoc `RunContext` still reach the daemon's
-/// sinks and degraded flag.
-struct BusForward(Arc<DiagnosticsBus>);
-
-impl EventSink for BusForward {
-    fn emit(&self, event: &Event) {
-        self.0.emit(event.clone());
-    }
-}
-
 /// State shared by the accept loop, connection handlers, and workers.
 pub struct ServerShared {
     /// Daemon configuration.
@@ -111,8 +100,9 @@ pub struct ServerShared {
     pub registry: ModelRegistry,
     /// The bounded request queue.
     pub queue: JobQueue,
-    /// The diagnostics bus every serving decision is emitted on.
-    pub bus: Arc<DiagnosticsBus>,
+    /// The daemon's one run context: its bus carries every serving
+    /// decision, and loads, reloads and updates run under it.
+    pub ctx: RunContext,
     /// Catalog used to annotate analyze rankings.
     pub catalog: MetricCatalog,
     /// Set (`Release`) by the `shutdown` handler before it wakes the
@@ -134,12 +124,6 @@ pub struct ServerShared {
 }
 
 impl ServerShared {
-    /// A fresh `RunContext` whose events forward to the shared bus.
-    pub fn ctx(&self) -> RunContext {
-        RunContext::new(self.config.pipeline.clone())
-            .with_sink(Arc::new(BusForward(self.bus.clone())))
-    }
-
     /// Whether shutdown has been requested.
     pub fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
@@ -156,7 +140,7 @@ impl ServerShared {
     /// exactly once no matter how many workers hit the budget.
     pub fn enter_read_only(&self, reason: String) {
         if !self.read_only.swap(true, Ordering::Relaxed) {
-            self.bus.emit(Event::DaemonReadOnly { reason });
+            self.ctx.emit(Event::DaemonReadOnly { reason });
         }
     }
 }
@@ -176,19 +160,12 @@ impl Server {
         models: Vec<(String, PathBuf)>,
         sinks: Vec<Arc<dyn EventSink>>,
     ) -> Result<Server, ServeError> {
-        let mut bus = DiagnosticsBus::new();
+        let mut ctx = RunContext::new(config.pipeline.clone());
         for sink in sinks {
-            bus.add_sink(sink);
+            ctx.add_sink(sink);
         }
-        let bus = Arc::new(bus);
-        let boot_ctx =
-            RunContext::new(config.pipeline.clone()).with_sink(Arc::new(BusForward(bus.clone())));
-        let registry = ModelRegistry::open(
-            &models,
-            config.cache_capacity,
-            config.wal.as_ref(),
-            &boot_ctx,
-        )?;
+        let registry =
+            ModelRegistry::open(&models, config.cache_capacity, config.wal.as_ref(), &ctx)?;
         let listener = TcpListener::bind(&config.addr)?;
         let mut wake_addr = listener.local_addr()?;
         if wake_addr.ip().is_unspecified() {
@@ -204,7 +181,7 @@ impl Server {
                 config,
                 registry,
                 queue,
-                bus,
+                ctx,
                 catalog: MetricCatalog::table_iii(),
                 shutdown: AtomicBool::new(false),
                 wake_addr,
@@ -222,7 +199,7 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Shared state (tests inspect counters and the bus).
+    /// Shared state (tests inspect counters and the run context).
     pub fn shared(&self) -> Arc<ServerShared> {
         self.shared.clone()
     }
@@ -284,7 +261,7 @@ impl Server {
         for connection in connections {
             let _ = connection.join();
         }
-        Ok(shared.bus.degraded())
+        Ok(shared.ctx.degraded())
     }
 }
 
@@ -302,7 +279,7 @@ fn supervised_worker(shared: &ServerShared, index: usize) {
                 let restarts = shared.worker_restarts.fetch_add(1, Ordering::Relaxed) + 1;
                 let budget = shared.config.worker_restart_budget;
                 if restarts <= budget {
-                    shared.bus.emit(Event::WorkerRestarted {
+                    shared.ctx.emit(Event::WorkerRestarted {
                         worker: index,
                         restarts,
                         budget,
@@ -430,10 +407,9 @@ fn reload_response(shared: &ServerShared, request: &Request) -> Response {
     let Some(name) = request.model.as_deref() else {
         return Response::error("reload requires a model name");
     };
-    let ctx = shared.ctx();
     match shared
         .registry
-        .reload(name, request.path.as_deref().map(Path::new), &ctx)
+        .reload(name, request.path.as_deref().map(Path::new), &shared.ctx)
     {
         Ok(info) => {
             let mut r = Response::ok("reload");
@@ -577,7 +553,7 @@ fn batchable_response(shared: &ServerShared, request: Request) -> Response {
 fn shed_response(shared: &ServerShared, slot: &ModelSlot, job: Job, depth: usize) -> Response {
     let capacity = shared.queue.capacity();
     ModelCounters::bump(&slot.counters.shed);
-    shared.bus.emit(Event::RequestShed {
+    shared.ctx.emit(Event::RequestShed {
         model: job.model.clone(),
         depth,
         capacity,

@@ -27,11 +27,13 @@
 //! chunk and directory checksums.
 //!
 //! - `<name>.base.json` — the anchor [`ModelSnapshot`]: zero metric
-//!   records plus the pinned [`TrainConfig`]. The maintained model is
-//!   the online trainer over exactly the streamed batches (matching a
-//!   clean batch retrain over them), so the delta chain starts from the
-//!   empty model, and the anchor's only jobs are pinning the training
-//!   configuration and the first record's `base_fingerprint`.
+//!   records plus the pinned [`TrainConfig`], written durably (like the
+//!   checkpoint below) when the model's journal directory is set up.
+//!   The maintained model is the online trainer over exactly the
+//!   streamed batches (matching a clean batch retrain over them), so the
+//!   delta chain starts from the empty model, and the anchor's only jobs
+//!   are pinning the training configuration and the first record's
+//!   `base_fingerprint`.
 //! - `<name>.checkpoint.spirecol` — compaction output ([`WalCheckpoint`]):
 //!   a colfile whose one section holds every committed sample, and whose
 //!   `meta` is the JSON of the format version, sequence number and model
@@ -71,8 +73,8 @@ use spire_core::colfile;
 use spire_core::pipeline::{Event, RunContext};
 use spire_core::snapshot::fnv1a64;
 use spire_core::{
-    write_atomic, MachineSpec, ModelSnapshot, OnlineTrainer, SampleSet, SnapshotDelta,
-    SnapshotMode, SnapshotProvenance, SpireModel, TrainConfig, TrainStrictness, UpdateReport,
+    MachineSpec, ModelSnapshot, OnlineTrainer, SampleSet, SnapshotDelta, SnapshotMode,
+    SnapshotProvenance, SpireModel, TrainConfig, TrainStrictness, UpdateReport,
     SNAPSHOT_FORMAT_VERSION,
 };
 
@@ -328,11 +330,14 @@ impl Wal {
         let total = bytes.len() as u64;
         if total < WAL_HEADER_LEN && header.starts_with(&bytes) {
             // Empty, or a header whose creation the crash tore: no record
-            // can follow it, so (re)writing the header loses nothing.
+            // can follow it, so (re)writing the header loses nothing. The
+            // directory is fsynced too, so a new journal's entry is durable
+            // before its first record is acknowledged.
             file.set_len(0)
                 .and_then(|()| file.seek(SeekFrom::Start(0)).map(|_| ()))
                 .and_then(|()| file.write_all(&header))
                 .and_then(|()| file.sync_data())
+                .and_then(|()| sync_parent_dir(path))
                 .map_err(|e| io_err("cannot initialize journal", e))?;
             let truncated = (total > 0).then_some((0, total));
             let wal = Wal {
@@ -638,7 +643,7 @@ impl UpdateState {
             })?
         } else {
             let anchor = anchor_snapshot(config.clone(), machine);
-            write_atomic(&base_path, &anchor.to_json())
+            write_durable(&base_path, anchor.to_json().as_bytes())
                 .map_err(|e| io_err(&format!("cannot write {}", base_path.display()), e))?;
             anchor
         };
@@ -948,7 +953,8 @@ impl UpdateState {
 /// caller goes on: the bytes go to a temporary file that is fsynced, the
 /// file is renamed over `path`, and the directory is fsynced so the
 /// rename is too. The compaction checkpoint needs this because the
-/// journal records it covers are dropped right after.
+/// journal records it covers are dropped right after, and the anchor
+/// because every acknowledged record chains from its fingerprint.
 fn write_durable(path: &Path, contents: &[u8]) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(format!(".tmp.{}", std::process::id()));
@@ -962,6 +968,12 @@ fn write_durable(path: &Path, contents: &[u8]) -> std::io::Result<()> {
         .inspect_err(|_| {
             let _ = std::fs::remove_file(&tmp);
         })?;
+    sync_parent_dir(path)
+}
+
+/// Fsyncs the directory holding `path`, so that a file created or
+/// renamed there survives a power loss.
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
     let dir = match path.parent() {
         Some(dir) if !dir.as_os_str().is_empty() => dir,
         _ => Path::new("."),

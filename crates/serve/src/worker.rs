@@ -110,7 +110,7 @@ fn process_update_batch(shared: &ServerShared, batch: Vec<Job>) {
         let entry_machine = slot.current().machine.clone();
         if let (Some(model_m), Some(data_m)) = (&entry_machine, &job.request.machine) {
             if !model_m.normalized && !model_m.matches(data_m) {
-                shared.bus.emit(Event::MachineMismatch {
+                shared.ctx.emit(Event::MachineMismatch {
                     context: "serve update".to_owned(),
                     model_machine: model_m.name.clone(),
                     model_fingerprint: model_m.fingerprint.clone(),
@@ -131,10 +131,10 @@ fn process_update_batch(shared: &ServerShared, batch: Vec<Job>) {
             }
         }
         let samples = job.request.samples.as_ref().expect("validated at enqueue");
-        let ctx = shared.ctx();
         let key = job.request.key.as_deref();
-        let outcome =
-            parallel::run_catching(|| state.apply_update(samples, &job.samples_json, key, &ctx));
+        let outcome = parallel::run_catching(|| {
+            state.apply_update(samples, &job.samples_json, key, &shared.ctx)
+        });
         let response = match outcome {
             Ok(Ok(ack)) => {
                 if ack.applied {
@@ -169,7 +169,7 @@ fn process_update_batch(shared: &ServerShared, batch: Vec<Job>) {
                 // refusing further writes is the safe side.
                 state.mark_broken(format!("panic during update: {panic_msg}"));
                 ModelCounters::bump(&slot.counters.isolated);
-                shared.bus.emit(Event::RequestIsolated {
+                shared.ctx.emit(Event::RequestIsolated {
                     request: "update".to_owned(),
                     detail: panic_msg.clone(),
                 });
@@ -202,7 +202,7 @@ fn process_batch(shared: &ServerShared, batch: Vec<Job>) {
         .iter()
         .map(|j| j.request.samples.as_ref().map_or(0, SampleSet::len))
         .sum();
-    shared.bus.emit(Event::StageStarted {
+    shared.ctx.emit(Event::StageStarted {
         stage: "serve-batch".to_owned(),
         items_in: Some(total_samples),
     });
@@ -222,7 +222,7 @@ fn process_batch(shared: &ServerShared, batch: Vec<Job>) {
         entry.model.estimate_batch(&sets)
     }) {
         Ok(results) => {
-            shared.bus.emit(Event::StageFinished {
+            shared.ctx.emit(Event::StageFinished {
                 stage: "serve-batch".to_owned(),
                 wall_ms: start.elapsed().as_secs_f64() * 1e3,
                 items_in: Some(total_samples),
@@ -248,7 +248,7 @@ fn process_batch(shared: &ServerShared, batch: Vec<Job>) {
                     Ok(result) => finish_job(shared, slot, &entry, job, result),
                     Err(panic_msg) => {
                         ModelCounters::bump(&slot.counters.isolated);
-                        shared.bus.emit(Event::RequestIsolated {
+                        shared.ctx.emit(Event::RequestIsolated {
                             request: job.request.kind.clone(),
                             detail: panic_msg.clone(),
                         });

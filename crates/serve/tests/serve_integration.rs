@@ -412,7 +412,7 @@ fn overload_sheds_with_typed_refusals_and_events() {
         shed_events, total_shed,
         "every shed refusal must also be a bus event"
     );
-    assert!(shared.bus.degraded(), "sheds flip the degraded flag");
+    assert!(shared.ctx.degraded(), "sheds flip the degraded flag");
 
     let mut control = Client::connect(&addr).unwrap();
     let stats = control.stats().unwrap().stats.unwrap();
@@ -492,7 +492,7 @@ fn machine_tags_flow_through_responses_and_gate_updates() {
         .collect();
     assert_eq!(mismatches.len(), 1, "exactly one machine_mismatch event");
     assert!(
-        shared.bus.degraded(),
+        shared.ctx.degraded(),
         "a refused cross-machine update degrades the run"
     );
 

@@ -1,15 +1,26 @@
-//! Importing real `perf stat` data: parse machine-readable perf output,
-//! build SPIRE samples, train, and rank — the path a user takes on real
+//! Importing real `perf stat` data: ingest machine-readable perf output
+//! into SPIRE samples, train, and rank — the path a user takes on real
 //! hardware instead of the bundled simulator.
 //!
 //! The embedded text mimics `perf stat -I 2000 -x,` on a CPU whose IPC
-//! degrades as branch mispredictions rise.
+//! degrades as branch mispredictions rise. The import is all-or-nothing:
+//! `ingest_perf_csv` under a zero error budget, then `into_strict`, so a
+//! single malformed row fails it.
 //!
 //! Run with: `cargo run --example perf_import`
 
 use spire_core::catalog::MetricCatalog;
-use spire_core::{BottleneckReport, SpireModel, TrainConfig};
-use spire_counters::perf::import_perf_stat;
+use spire_core::{BottleneckReport, SampleSet, SpireModel, TrainConfig};
+use spire_counters::{ingest_perf_csv, IngestConfig};
+
+/// Imports perf CSV text, refusing it if any row is quarantined.
+fn import(text: &str) -> spire_core::Result<SampleSet> {
+    let config = IngestConfig {
+        error_budget: 0.0,
+        ..IngestConfig::default()
+    };
+    ingest_perf_csv(text, &config).into_strict()
+}
 
 /// Synthetic-but-realistic perf stat interval output. Each 2-second
 /// interval reports the fixed counters plus two metrics. IPC falls from
@@ -46,7 +57,7 @@ const PERF_WORKLOAD: &str = "\
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Import: perf CSV -> SPIRE samples (W=instructions, T=cycles).
-    let training = import_perf_stat(PERF_TRAINING)?;
+    let training = import(PERF_TRAINING)?;
     println!(
         "imported {} training samples covering {} metrics",
         training.len(),
@@ -55,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Train and analyze exactly as with simulated data.
     let model = SpireModel::train(&training, TrainConfig::default())?;
-    let workload = import_perf_stat(PERF_WORKLOAD)?;
+    let workload = import(PERF_WORKLOAD)?;
     let estimate = model.estimate(&workload)?;
     let report = BottleneckReport::new(&estimate, &MetricCatalog::table_iii());
 
