@@ -81,6 +81,12 @@ pub enum SpireError {
         /// The configured budget as a fraction of `total` in `[0, 1]`.
         budget: f64,
     },
+    /// A strict ingest saw intervals but none carried both fixed events
+    /// (the work and time counters), so the capture yields no samples.
+    MissingFixedEvents {
+        /// Intervals seen, every one of them dropped.
+        intervals: usize,
+    },
     /// A fitted or deserialized [`PiecewiseRoofline`](crate::PiecewiseRoofline)
     /// violates one of its structural invariants (ordered finite knots,
     /// increasing concave-down left region, decreasing concave-up right
@@ -211,6 +217,11 @@ impl fmt::Display for SpireError {
                 "ingest quarantined {quarantined} of {total} rows, exceeding the \
                  error budget of {:.1}%",
                 budget * 100.0
+            ),
+            SpireError::MissingFixedEvents { intervals } => write!(
+                f,
+                "none of the {intervals} intervals carries both fixed events \
+                 (work and time), so the capture yields no samples"
             ),
             SpireError::ModelInvariantViolation { metric, invariant } => write!(
                 f,

@@ -402,6 +402,10 @@ mod tests {
         assert_eq!(out.report.intervals_ingested, 0);
         assert_eq!(out.report.intervals_dropped, 1);
         assert!(out.samples.is_empty());
+        assert!(matches!(
+            out.into_strict(),
+            Err(SpireError::MissingFixedEvents { intervals: 1 })
+        ));
     }
 
     #[test]

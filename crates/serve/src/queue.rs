@@ -1,5 +1,7 @@
-//! The bounded request queue between connection handlers and workers,
-//! with same-model coalescing on the pop side.
+//! The bounded read queue between connection handlers and workers, with
+//! same-model coalescing on the pop side. It carries only
+//! `estimate`/`analyze` requests; updates apply on their connection
+//! thread.
 //!
 //! Backpressure is explicit: a push against a full queue is refused and
 //! the caller sheds the request with a typed `request_shed` event — the
@@ -14,27 +16,14 @@ use std::sync::{Condvar, Mutex};
 
 use crate::proto::{Request, Response};
 
-/// One queued estimate/analyze/update request.
+/// One queued estimate/analyze request.
 pub struct Job {
     /// Target model name (validated against the registry at enqueue).
     pub model: String,
-    /// The parsed request (kind is `estimate`, `analyze`, or `update`).
+    /// The parsed request (kind is `estimate` or `analyze`).
     pub request: Request,
-    /// The request's samples serialized once at enqueue, reused for the
-    /// cache key (reads) and the batch fingerprint (updates) so workers
-    /// never re-serialize.
-    pub samples_json: String,
     /// Where the worker sends the response.
     pub reply: mpsc::Sender<Response>,
-}
-
-impl Job {
-    /// Whether this job mutates model state. Writes and reads never
-    /// coalesce into one batch: a read batch serves from one immutable
-    /// entry, while an update batch commits through the journal.
-    pub fn is_update(&self) -> bool {
-        self.request.kind == "update"
-    }
 }
 
 struct QueueState {
@@ -86,21 +75,18 @@ impl JobQueue {
     }
 
     /// Blocks for the next batch: the oldest job plus up to
-    /// `max_batch - 1` other queued jobs for the same model *and the
-    /// same read/write class* (updates never coalesce with estimates or
-    /// analyzes), in FIFO order. Returns `None` once the queue is closed
-    /// *and* drained, so no accepted request is ever abandoned at
-    /// shutdown.
+    /// `max_batch - 1` other queued jobs for the same model, in FIFO
+    /// order. Returns `None` once the queue is closed *and* drained, so
+    /// no accepted request is ever abandoned at shutdown.
     pub fn pop_coalesced(&self, max_batch: usize) -> Option<Vec<Job>> {
         let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
         loop {
             if let Some(first) = state.jobs.pop_front() {
                 let model = first.model.clone();
-                let class = first.is_update();
                 let mut batch = vec![first];
                 let mut i = 0;
                 while i < state.jobs.len() && batch.len() < max_batch.max(1) {
-                    if state.jobs[i].model == model && state.jobs[i].is_update() == class {
+                    if state.jobs[i].model == model {
                         batch.push(state.jobs.remove(i).expect("index checked"));
                     } else {
                         i += 1;
@@ -149,15 +135,10 @@ mod tests {
     use super::*;
 
     fn job(model: &str) -> Job {
-        kind_job(model, "estimate")
-    }
-
-    fn kind_job(model: &str, kind: &str) -> Job {
         let (tx, _rx) = mpsc::channel();
         Job {
             model: model.to_owned(),
-            request: Request::bare(kind),
-            samples_json: String::new(),
+            request: Request::bare("estimate"),
             reply: tx,
         }
     }
@@ -177,32 +158,6 @@ mod tests {
         assert_eq!(
             batch.iter().map(|j| j.model.as_str()).collect::<Vec<_>>(),
             ["b", "b"]
-        );
-    }
-
-    #[test]
-    fn updates_never_coalesce_with_reads() {
-        let q = JobQueue::new(16);
-        q.push(kind_job("a", "estimate")).map_err(|_| ()).unwrap();
-        q.push(kind_job("a", "update")).map_err(|_| ()).unwrap();
-        q.push(kind_job("a", "estimate")).map_err(|_| ()).unwrap();
-        q.push(kind_job("a", "update")).map_err(|_| ()).unwrap();
-        let batch = q.pop_coalesced(8).unwrap();
-        assert_eq!(
-            batch
-                .iter()
-                .map(|j| j.request.kind.as_str())
-                .collect::<Vec<_>>(),
-            ["estimate", "estimate"]
-        );
-        let batch = q.pop_coalesced(8).unwrap();
-        assert_eq!(
-            batch
-                .iter()
-                .map(|j| j.request.kind.as_str())
-                .collect::<Vec<_>>(),
-            ["update", "update"],
-            "same-model updates may batch together, but never with reads"
         );
     }
 

@@ -1,13 +1,15 @@
 //! The worker pool's batch-processing loop.
 //!
-//! Workers pop coalesced same-model batches from the [`crate::queue`],
-//! estimate all of them in one
+//! Workers pop coalesced same-model `estimate`/`analyze` batches from
+//! the [`crate::queue`], estimate all of them in one
 //! [`spire_core::SpireModel::estimate_batch`] call (bit-identical to
 //! per-request estimation), and fan typed responses back to each
 //! request's reply channel. The whole batch serves from one `Arc`'d
 //! model entry cloned up front, so a concurrent hot reload can never
 //! tear a batch: every response is attributable to exactly the snapshot
-//! fingerprint it carries.
+//! fingerprint it carries. Workers never touch the result cache (the
+//! connection thread that built a request's key stores its answer), and
+//! updates never reach them (they apply on their connection thread).
 //!
 //! Panic containment is two-level: a batch that panics is retried
 //! request-by-request under [`spire_core::parallel::run_catching`], so
@@ -22,7 +24,6 @@ use spire_core::parallel;
 use spire_core::pipeline::Event;
 use spire_core::{BottleneckReport, SampleSet, SpireError};
 
-use crate::cache::request_key;
 use crate::proto::{MetricResult, Response};
 use crate::queue::Job;
 use crate::registry::{ModelCounters, ModelEntry, ModelSlot};
@@ -65,123 +66,7 @@ pub(crate) fn worker_loop(shared: &ServerShared) {
                 panic!("chaos: worker panic marker {marker:?} matched");
             }
         }
-        if batch[0].is_update() {
-            process_update_batch(shared, batch);
-        } else {
-            process_batch(shared, batch);
-        }
-    }
-}
-
-/// Applies a coalesced batch of update jobs sequentially under the
-/// slot's update mutex (writes are serialized per model; the journal
-/// orders them). Each committed update swaps the served entry, so
-/// subsequent reads see the new fingerprint immediately.
-fn process_update_batch(shared: &ServerShared, batch: Vec<Job>) {
-    let Some(slot) = shared.registry.get(&batch[0].model) else {
-        let name = batch[0].model.clone();
-        for job in batch {
-            let _ = job
-                .reply
-                .send(Response::error(format!("unknown model {name}")));
-        }
-        return;
-    };
-    let mut guard = slot.update.lock().unwrap_or_else(|p| p.into_inner());
-    for job in batch {
-        let Some(state) = guard.as_mut() else {
-            let _ = job.reply.send(Response::error(
-                "updates are disabled: start the daemon with --wal-dir to enable \
-                 durable model maintenance",
-            ));
-            continue;
-        };
-        if shared.read_only() {
-            let _ = job.reply.send(Response::error(
-                "daemon is read-only (worker restart budget exhausted); update refused",
-            ));
-            continue;
-        }
-        // A batch tagged with a different machine is refused like a
-        // fingerprint mismatch: folding foreign-machine samples into the
-        // delta chain would silently corrupt the model. Either side
-        // lacking a tag (legacy artifacts, untagged clients) passes, and
-        // a peak-normalized model is machine-agnostic by construction.
-        let entry_machine = slot.current().machine.clone();
-        if let (Some(model_m), Some(data_m)) = (&entry_machine, &job.request.machine) {
-            if !model_m.normalized && !model_m.matches(data_m) {
-                shared.ctx.emit(Event::MachineMismatch {
-                    context: "serve update".to_owned(),
-                    model_machine: model_m.name.clone(),
-                    model_fingerprint: model_m.fingerprint.clone(),
-                    data_machine: data_m.name.clone(),
-                    data_fingerprint: data_m.fingerprint.clone(),
-                });
-                let mut r = Response::error(format!(
-                    "machine mismatch: model {} is from {} but the update batch is \
-                     from {}; update refused",
-                    job.model,
-                    model_m.tag(),
-                    data_m.tag()
-                ));
-                r.model = Some(job.model.clone());
-                r.machine = entry_machine;
-                let _ = job.reply.send(r);
-                continue;
-            }
-        }
-        let samples = job.request.samples.as_ref().expect("validated at enqueue");
-        let key = job.request.key.as_deref();
-        let outcome = parallel::run_catching(|| {
-            state.apply_update(samples, &job.samples_json, key, &shared.ctx)
-        });
-        let response = match outcome {
-            Ok(Ok(ack)) => {
-                if ack.applied {
-                    ModelCounters::bump(&slot.counters.updates);
-                    if let Some(model) = ack.model {
-                        slot.install(ModelEntry {
-                            model,
-                            fingerprint: ack.fingerprint.clone(),
-                            machine: entry_machine.clone(),
-                        });
-                    }
-                } else {
-                    ModelCounters::bump(&slot.counters.deduplicated);
-                }
-                let mut r = Response::ok("update");
-                r.model = Some(job.model.clone());
-                r.fingerprint = Some(ack.fingerprint);
-                r.seq = Some(ack.seq);
-                r.applied = Some(ack.applied);
-                r.update = ack.report;
-                r.machine = entry_machine;
-                r
-            }
-            Ok(Err(e)) => {
-                let mut r = Response::error(e.to_string());
-                r.model = Some(job.model.clone());
-                r
-            }
-            Err(panic_msg) => {
-                // A panic mid-apply may have left half-built state; the
-                // clone-then-publish discipline makes that unlikely, but
-                // refusing further writes is the safe side.
-                state.mark_broken(format!("panic during update: {panic_msg}"));
-                ModelCounters::bump(&slot.counters.isolated);
-                shared.ctx.emit(Event::RequestIsolated {
-                    request: "update".to_owned(),
-                    detail: panic_msg.clone(),
-                });
-                let mut r = Response::error(format!(
-                    "update isolated after panic: {panic_msg}; further updates for this \
-                     model are refused until restart"
-                ));
-                r.model = Some(job.model.clone());
-                r
-            }
-        };
-        let _ = job.reply.send(response);
+        process_batch(shared, batch);
     }
 }
 
@@ -266,8 +151,7 @@ fn process_batch(shared: &ServerShared, batch: Vec<Job>) {
     }
 }
 
-/// Builds the job's response from its estimate outcome, caches success,
-/// and replies.
+/// Builds the job's response from its estimate outcome and replies.
 fn finish_job(
     shared: &ServerShared,
     slot: &ModelSlot,
@@ -312,19 +196,6 @@ fn finish_job(
             r
         }
     };
-    if response.ok {
-        let top = effective_top(&job.request.kind, job.request.top);
-        let key = request_key(
-            &job.request.kind,
-            top,
-            &entry.fingerprint,
-            &job.samples_json,
-        );
-        slot.cache
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .put(key, response.clone());
-    }
     let _ = job.reply.send(response);
 }
 
