@@ -180,8 +180,10 @@ impl Client {
     /// Sends `request`, retrying timeouts and shed responses up to the
     /// configured budget with jittered exponential backoff. Responses
     /// (including errors) that are neither shed nor timeouts return
-    /// immediately. Only safe for idempotent requests: a timed-out
-    /// update without a `key` may apply twice.
+    /// immediately. Only reads are ever shed (updates bypass the job
+    /// queue), so an update retries only on a timeout. Only safe for
+    /// idempotent requests: a timed-out update without a `key` may apply
+    /// twice.
     pub fn request_with_retry(&mut self, request: &Request) -> Result<Response, ServeError> {
         let mut rng = FaultRng::new(self.config.seed);
         let mut attempt = 0;
@@ -226,8 +228,8 @@ impl Client {
 
     /// `update`: streams one sample batch into `model`'s online trainer,
     /// journaled before acknowledgment. With a `key`, retries of the
-    /// same batch are applied at most once; retryable failures use the
-    /// configured retry budget.
+    /// same batch are applied at most once, and a timeout retries under
+    /// the configured budget.
     pub fn update(
         &mut self,
         model: &str,

@@ -12,14 +12,16 @@
 //!   `RwLock<Arc<...>>`, hot-reloaded by atomic swap through the existing
 //!   checksum/salvage machinery; every response carries the fingerprint
 //!   of the snapshot that produced it.
-//! - **Queue + workers** ([`queue`], the worker pool in [`server`]):
-//!   bounded queues whose overflow sheds requests with typed
+//! - **Queue + workers** ([`queue`], the worker pool in [`server`]): a
+//!   bounded read queue whose overflow sheds requests with typed
 //!   `request_shed` events; workers coalesce same-model requests into one
 //!   `SpireModel::estimate_batch` call (bit-identical to per-request
 //!   estimation) and contain request panics at the request boundary
-//!   (`parallel::run_catching`).
+//!   (`parallel::run_catching`). Updates skip the queue: each commits on
+//!   its connection thread under the model's update mutex ([`wal`]).
 //! - **Cache** ([`cache`]): per-model LRU of recent batch results keyed
-//!   by request identity including the serving fingerprint.
+//!   by request identity including the serving fingerprint, read and
+//!   written by connection threads only.
 //!
 //! All serving decisions — sheds, isolations, reloads, salvages — are
 //! typed events on the bus of the daemon's one `RunContext`, so its event
